@@ -7,9 +7,10 @@ each artifact it writes. Reruns with identical config produce bit-identical
 files on one numpy/OpenBLAS build; another BLAS kernel changes the bits.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numerical abort.
-``JAM_THREADS`` caps the worker count; 0 (default) is the single-threaded
-deterministic mode. Execution is sequential either way, so results never
-depend on the setting.
+``JAM_THREADS`` (an integer >= 0, default 0) is validated and recorded in
+each artifact's config, but sets no thread count: the code runs in one
+Python thread, and BLAS threads follow the BLAS library's own setting
+(``OPENBLAS_NUM_THREADS`` for OpenBLAS).
 """
 
 from __future__ import annotations
@@ -257,33 +258,26 @@ def cmd_metrics(config: dict) -> int:
         rbf_gamma=config["rbf_gamma"],
         knn_similarity=config["knn_similarity"],
     )
-    settings = {
-        metrics.SETTING_MATCH: ds.positives,
-        metrics.SETTING_HARD: ds.negatives,
-    }
-    if easy is not None:
-        settings[metrics.SETTING_EASY] = easy
-    scores, errors = {}, {}
-    for name, texts in settings.items():
-        scores[name], errors[name] = metrics.compute_setting_scores(
-            ds.images, texts, mcfg, tolerant=True
-        )
-        for metric_name, message in errors[name].items():
-            print(f"warning: {name}/{metric_name} failed: {message}")
-    report = {
-        "command": "metrics",
-        "config": config,
-        "metric_config": mcfg.to_dict(),
-        "scores": scores,
-        "errors": {k: v for k, v in errors.items() if v},
-        "format_version": FORMAT_VERSION,
-    }
-    _write_json(out_dir / "report.json", report)
+    report = metrics.alignment_report(ds.images, ds.positives, easy, ds.negatives, mcfg, tolerant=True)
+    for setting, cells in report.errors.items():
+        for metric_name, message in cells.items():
+            print(f"warning: {setting}/{metric_name} failed: {message}")
+    _write_json(
+        out_dir / "report.json",
+        {
+            "command": "metrics",
+            "config": config,
+            "metric_config": report.config,
+            "scores": report.scores,
+            "errors": report.errors,
+            "format_version": FORMAT_VERSION,
+        },
+    )
     rows = []
-    for setting in sorted(scores):
+    for setting in sorted(report.scores):
         for metric_name in metrics.METRIC_NAMES:
-            value = scores[setting].get(metric_name)
-            err = errors[setting].get(metric_name, "")
+            value = report.scores[setting].get(metric_name)
+            err = report.errors.get(setting, {}).get(metric_name, "")
             rows.append(
                 [setting, metric_name, "" if value is None else repr(value), err]
             )

@@ -9,17 +9,42 @@ paired by sample.
 Conventions that the contracts pin down:
 
 * Kernels are centered with H = I - (1/n) 11^T; HSIC(K, L) = tr(Kc Lc)/(n-1)^2.
+* Linear CKA is computed in feature space, ||Yc^T Xc||_F^2 /
+  (||Xc^T Xc||_F ||Yc^T Yc||_F) over column-centered features (Kornblith et
+  al., 2019); this equals the kernel form because the centered linear kernel
+  is Xc Xc^T. RBF CKA has no finite feature map and uses centered Grams.
 * CKNNA's cross term is masked by mutual k-nearest neighborhood of both
   views; each normalization term is masked by its own view's kNN graph.
   Self-pairs enter every sum weighted by the row's neighborhood density, so
   the k = n-1 score reproduces CKA exactly while small-k scores stay driven
-  by neighborhood agreement (independent views score near zero).
+  by neighborhood agreement (independent views score near zero). Neighbors
+  are ranked by raw inner product (or cosine), a tie going to the lower
+  index. The centered linear kernel is read only at the kNN pairs and on
+  its diagonal, as row dot products of the centered features.
 * CCA adds ridge 1e-8 * mean(diag) to each covariance block and reports
   singular values of the whitened cross-covariance, clipped to [0, 1].
+
+What a report shares, and what it costs. ``alignment_report`` pairs one
+image view with two or three text sets. Each view (the images once, each
+text set once) keeps a record of the costly results its cells read,
+computed on first use: one SVD of the centered features (the top-r PCA
+projection and the SVCCA truncation are both read off it), the RBF
+kernel-PCA scores and the kNN index sets. No record holds an n x n array,
+and the image side is derived once per report, not once per setting. The
+dominant cost is one n x n RBF kernel-PCA eigendecomposition per distinct
+view, O(n^3) each: four for a three-setting report. Beside them, linear CKA
+costs O(n d^2), CKNNA O(n k d) after one n x n similarity pass per view for
+its kNN sets, and CCA and SVCCA work on n x r blocks.
+
+Kernel PCA keeps the exact full ``eigh`` rather than an iterative top-r
+solver: the centered RBF spectrum of the n=2000 metric screen is flat around
+r=50 (lambda_50 / lambda_51 ~ 1.002), and randomized subspace iteration with
+8 power steps was still 2.7% off in the eigenvalues there.
 """
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,12 +54,19 @@ from .numkit import Matrix, as_matrix, center_columns, svd, sym_eig
 
 KERNEL_KINDS = ("linear", "rbf")
 
+# Most elements CKNNA gathers at once, so its memory stays bounded for any k.
+_GATHER_ELEMENTS = 1 << 20
+
 
 def median_heuristic_gamma(x: Matrix) -> float:
     """1 / (2 * median pairwise squared distance); fallback 1.0 if degenerate."""
-    m = as_matrix(x)
-    sq = _pairwise_sqdist(m)
-    off = sq[~np.eye(m.shape[0], dtype=bool)]
+    return _median_gamma(_pairwise_sqdist(as_matrix(x)))
+
+
+def _median_gamma(sq: Matrix) -> float:
+    n = sq.shape[0]
+    # the off-diagonal entries of an n x n array, without a boolean mask
+    off = sq.ravel()[1:].reshape(n - 1, n + 1)[:, :-1]
     med = float(np.median(off)) if off.size else 0.0
     if med <= 0.0:
         return 1.0
@@ -43,8 +75,11 @@ def median_heuristic_gamma(x: Matrix) -> float:
 
 def _pairwise_sqdist(x: Matrix) -> Matrix:
     sq = np.sum(x * x, axis=1)
-    d = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-    return np.maximum(d, 0.0)
+    d = np.add.outer(sq, sq)
+    g = x @ x.T
+    g *= 2.0
+    d -= g
+    return np.maximum(d, 0.0, out=d)
 
 
 def gram(x: Matrix, kind: str = "linear", gamma: float | None = None) -> Matrix:
@@ -54,11 +89,11 @@ def gram(x: Matrix, kind: str = "linear", gamma: float | None = None) -> Matrix:
         k = m @ m.T
         return (k + k.T) / 2.0
     if kind == "rbf":
-        if gamma is None:
-            gamma = median_heuristic_gamma(m)
-        if gamma <= 0:
+        if gamma is not None and gamma <= 0:
             raise InvalidInput(f"rbf gamma must be > 0, got {gamma}")
-        return np.exp(-gamma * _pairwise_sqdist(m))
+        k = _pairwise_sqdist(m)
+        k *= -(_median_gamma(k) if gamma is None else gamma)
+        return np.exp(k, out=k)
     raise InvalidInput(f"unknown kernel kind {kind!r}")
 
 
@@ -66,18 +101,26 @@ def _check_symmetric(k: Matrix, tol: float = 1e-10) -> Matrix:
     m = as_matrix(k, "kernel")
     if m.shape[0] != m.shape[1]:
         raise InvalidInput(f"kernel must be square, got {m.shape}")
-    scale = max(1.0, float(np.abs(m).max())) if m.size else 1.0
-    if m.size and float(np.abs(m - m.T).max()) > tol * scale:
-        raise InvalidInput("kernel is asymmetric beyond tolerance")
+    if m.size:
+        scale = max(1.0, float(m.max()), -float(m.min()))
+        asym = m - m.T
+        np.abs(asym, out=asym)
+        if float(asym.max()) > tol * scale:
+            raise InvalidInput("kernel is asymmetric beyond tolerance")
     return m
 
 
 def center_gram(k: Matrix) -> Matrix:
     """H K H with H = I - (1/n) 11^T; row and column sums become zero."""
     m = _check_symmetric(k)
-    row = m.mean(axis=1, keepdims=True)
-    col = m.mean(axis=0, keepdims=True)
-    return m - row - col + m.mean()
+    out = m - m.mean(axis=1, keepdims=True)
+    out -= m.mean(axis=0, keepdims=True)
+    out += m.mean()
+    return out
+
+
+def _hsic_centered(kc: Matrix, lc: Matrix) -> float:
+    return float(np.sum(kc * lc) / (kc.shape[0] - 1) ** 2)
 
 
 def hsic(k: Matrix, l: Matrix) -> float:
@@ -86,40 +129,81 @@ def hsic(k: Matrix, l: Matrix) -> float:
     ll = _check_symmetric(l)
     if kk.shape != ll.shape:
         raise InvalidInput(f"kernel sizes differ: {kk.shape} vs {ll.shape}")
-    n = kk.shape[0]
-    if n < 2:
+    if kk.shape[0] < 2:
         raise InvalidInput("hsic needs at least 2 samples")
-    kc = center_gram(kk)
-    lc = center_gram(ll)
-    return float(np.sum(kc * lc) / (n - 1) ** 2)
+    return _hsic_centered(center_gram(kk), center_gram(ll))
 
 
 def cka(x: Matrix, y: Matrix, kind: str = "linear", gamma: float | None = None) -> float:
-    """HSIC(K, L) / sqrt(HSIC(K, K) HSIC(L, L)); in [0, 1] for PSD kernels."""
+    """HSIC(K, L) / sqrt(HSIC(K, K) HSIC(L, L)); in [0, 1] for PSD kernels.
+
+    The linear kernel is evaluated in feature space, with no n x n Gram.
+    """
     xm = as_matrix(x, "x")
     ym = as_matrix(y, "y")
     if xm.shape[0] != ym.shape[0]:
         raise InvalidInput("x and y must have the same number of rows")
-    k = gram(xm, kind, gamma)
-    l = gram(ym, kind, gamma)
-    kk = hsic(k, k)
-    ll = hsic(l, l)
+    return _cka(_View(xm), _View(ym), kind, gamma)
+
+
+def _cka(xv: _View, yv: _View, kind: str, gamma: float | None) -> float:
+    if xv.x.shape[0] < 2:
+        raise InvalidInput("hsic needs at least 2 samples")
+    if kind == "linear":
+        xc, yc = center_columns(xv.x), center_columns(yv.x)
+        cross = _sq_frobenius(yc.T @ xc)
+        kk = _sq_frobenius(xc.T @ xc)
+        ll = _sq_frobenius(yc.T @ yc)
+    else:
+        kc = center_gram(gram(xv.x, kind, gamma))
+        lc = center_gram(gram(yv.x, kind, gamma))
+        cross, kk, ll = _hsic_centered(kc, lc), _hsic_centered(kc, kc), _hsic_centered(lc, lc)
     if kk <= 0.0 or ll <= 0.0:
         raise DegenerateInput("zero-variance input: HSIC self-term vanishes")
-    return float(hsic(k, l) / np.sqrt(kk * ll))
+    return float(cross / np.sqrt(kk * ll))
 
 
-def _knn_sets(sim: Matrix, k: int) -> Matrix:
-    """Boolean n x n: row i marks i's k most similar j != i (stable order)."""
+def _sq_frobenius(a: Matrix) -> float:
+    return float(np.vdot(a, a))
+
+
+def _knn_indices(sim: Matrix, k: int) -> np.ndarray:
+    """n x k: row i lists the k columns j != i most similar to i, ascending in j.
+
+    A tie at the k-th similarity goes to the lowest column indices, the set
+    a stable sort on descending similarity picks. Overwrites ``sim``.
+    """
     n = sim.shape[0]
-    s = sim.copy()
-    np.fill_diagonal(s, -np.inf)
-    # stable argsort on descending similarity keeps ties deterministic
-    order = np.argsort(-s, axis=1, kind="stable")
+    np.fill_diagonal(sim, -np.inf)
+    kth = np.partition(sim, n - k, axis=1)[:, [n - k]]
+    chosen = sim > kth
+    tied = sim == kth
+    room = k - chosen.sum(axis=1, keepdims=True)
+    chosen |= tied & (np.cumsum(tied, axis=1, dtype=np.int32) <= room)
+    return np.nonzero(chosen)[1].reshape(n, k)
+
+
+def _knn_mask(idx: np.ndarray) -> Matrix:
+    n = idx.shape[0]
     mask = np.zeros((n, n), dtype=bool)
-    rows = np.repeat(np.arange(n), k)
-    mask[rows, order[:, :k].ravel()] = True
+    np.put_along_axis(mask, idx, True, axis=1)
     return mask
+
+
+def _similarity_features(x: Matrix, similarity: str) -> Matrix:
+    if similarity == "cosine":
+        return x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1e-30)
+    if similarity != "inner":
+        raise InvalidInput(f"unknown similarity {similarity!r}")
+    return x
+
+
+def _paired_views(v: Matrix, lm: Matrix) -> tuple[_View, _View]:
+    vm = as_matrix(v, "v")
+    lmm = as_matrix(lm, "lm")
+    if lmm.shape[0] != vm.shape[0]:
+        raise InvalidInput("views must have the same number of rows")
+    return _View(vm), _View(lmm)
 
 
 def mutual_knn_mask(v: Matrix, lm: Matrix, k: int, similarity: str = "inner") -> Matrix:
@@ -128,39 +212,35 @@ def mutual_knn_mask(v: Matrix, lm: Matrix, k: int, similarity: str = "inner") ->
     Neighbors ranked by kernel similarity: raw inner products by default,
     cosine when ``similarity="cosine"``.
     """
-    vm = as_matrix(v, "v")
-    lmm = as_matrix(lm, "lm")
-    n = vm.shape[0]
-    if lmm.shape[0] != n:
-        raise InvalidInput("views must have the same number of rows")
-    if not 1 <= k <= n - 1:
-        raise InvalidInput(f"k must be in [1, n-1], got k={k}, n={n}")
-    vn, ln = _normalized_views(vm, lmm, similarity)
-    return _knn_sets(vn @ vn.T, k) & _knn_sets(ln @ ln.T, k)
+    vv, lv = _paired_views(v, lm)
+    return _knn_mask(vv.knn(k, similarity)) & _knn_mask(lv.knn(k, similarity))
 
 
-def _normalized_views(v, lm, similarity):
-    if similarity == "cosine":
-        v = v / np.maximum(np.linalg.norm(v, axis=1, keepdims=True), 1e-30)
-        lm = lm / np.maximum(np.linalg.norm(lm, axis=1, keepdims=True), 1e-30)
-    elif similarity != "inner":
-        raise InvalidInput(f"unknown similarity {similarity!r}")
-    return v, lm
+def _neighbor_dots(xc: Matrix, idx: np.ndarray) -> Matrix:
+    """n x k centered kernel values xc[i] . xc[idx[i, m]], gathered in blocks."""
+    n, k = idx.shape
+    out = np.empty((n, k))
+    step = max(1, _GATHER_ELEMENTS // (k * max(xc.shape[1], 1)))
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        out[rows] = np.einsum("rf,rmf->rm", xc[rows], xc[idx[rows]])
+    return out
 
 
-def _align_local(a_c: Matrix, b_c: Matrix, mask: Matrix) -> float:
+def _align_local(a: Matrix, b: Matrix, mask: Matrix, a_diag: np.ndarray, b_diag: np.ndarray) -> float:
     """Masked centered-similarity sum with density-weighted self-pairs.
 
-    Each off-diagonal pair contributes when masked; the self-pair of row i
-    contributes with weight |neighbors(i)| / (n-1). A full mask therefore
+    ``a`` and ``b`` hold two centered kernels at one view's kNN pairs (row i,
+    column idx[i, m]); ``a_diag`` and ``b_diag`` are their diagonals. Each
+    masked pair contributes a*b; the self-pair of row i contributes with
+    weight |masked pairs of i| / (n-1). A full mask at k = n-1 therefore
     reproduces the complete double sum (including the diagonal), which is
     what makes the k = n-1 score collapse to the global one exactly, while
     sparse masks keep the self-pairs from dominating.
     """
     n = mask.shape[0]
-    w = mask.astype(np.float64)
-    w[np.arange(n), np.arange(n)] = mask.sum(axis=1) / (n - 1)
-    return float(np.sum(w * a_c * b_c))
+    density = mask.sum(axis=1) / (n - 1)
+    return float(np.sum(a * b * mask) + np.sum(density * a_diag * b_diag))
 
 
 def cknna(v: Matrix, lm: Matrix, k: int, similarity: str = "inner") -> float:
@@ -172,24 +252,27 @@ def cknna(v: Matrix, lm: Matrix, k: int, similarity: str = "inner") -> float:
     self-pairs (see _align_local), so cknna(v, lm, n-1) == cka(v, lm) holds
     exactly and cknna(v, v, k) == 1 for every valid k.
     """
-    vm = as_matrix(v, "v")
-    lmm = as_matrix(lm, "lm")
-    n = vm.shape[0]
-    if lmm.shape[0] != n:
-        raise InvalidInput("views must have the same number of rows")
-    if not 1 <= k <= n - 1:
-        raise InvalidInput(f"k must be in [1, n-1], got k={k}, n={n}")
-    vn, ln = _normalized_views(vm, lmm, similarity)
-    nn_v = _knn_sets(vn @ vn.T, k)
-    nn_l = _knn_sets(ln @ ln.T, k)
-    mutual = nn_v & nn_l
+    return _cknna(*_paired_views(v, lm), k, similarity)
+
+
+def _cknna(vv: _View, lv: _View, k: int, similarity: str) -> float:
+    nn_v = vv.knn(k, similarity)
+    nn_l = lv.knn(k, similarity)
+    n = nn_v.shape[0]
+    row = n * np.arange(n)[:, None]
+    # mutual[i, m]: the pair (i, nn_v[i, m]) is also in l's kNN graph
+    mutual = np.isin(nn_v + row, nn_l + row, assume_unique=True)
     if not mutual.any():
         raise DegenerateInput("mutual kNN mask is empty")
-    kc = center_gram(gram(vm))
-    lc = center_gram(gram(lmm))
-    num = _align_local(kc, lc, mutual)
-    dk = _align_local(kc, kc, nn_v)
-    dl = _align_local(lc, lc, nn_l)
+    vc, lc = center_columns(vv.x), center_columns(lv.x)
+    v_diag = np.einsum("ij,ij->i", vc, vc)
+    l_diag = np.einsum("ij,ij->i", lc, lc)
+    full = np.ones(nn_v.shape, dtype=bool)
+    kv = _neighbor_dots(vc, nn_v)
+    ll = _neighbor_dots(lc, nn_l)
+    num = _align_local(kv, _neighbor_dots(lc, nn_v), mutual, v_diag, l_diag)
+    dk = _align_local(kv, kv, full, v_diag, v_diag)
+    dl = _align_local(ll, ll, full, l_diag, l_diag)
     if dk <= 0.0 or dl <= 0.0:
         raise DegenerateInput("masked self-alignment vanishes")
     return num / float(np.sqrt(dk * dl))
@@ -207,14 +290,7 @@ def _fix_signs(components: Matrix) -> Matrix:
 
 def pca_reduce(x: Matrix, r: int) -> Matrix:
     """Project rows of x onto the top-r principal components of centered x."""
-    xm = as_matrix(x)
-    n, d = xm.shape
-    if not 1 <= r <= min(n - 1, d):
-        raise InvalidInput(f"r must be in [1, min(rows-1, cols)] = [1, {min(n - 1, d)}]")
-    xc = center_columns(xm)
-    _, _, vt = svd(xc)
-    comps = _fix_signs(vt[:r])
-    return xc @ comps.T
+    return _View(as_matrix(x)).pca(r)
 
 
 def kpca_reduce(x: Matrix, r: int, gamma: float | None = None) -> Matrix:
@@ -227,8 +303,7 @@ def kpca_reduce(x: Matrix, r: int, gamma: float | None = None) -> Matrix:
     n = xm.shape[0]
     if not 1 <= r <= n - 1:
         raise InvalidInput(f"r must be in [1, rows-1] = [1, {n - 1}]")
-    kc = center_gram(gram(xm, "rbf", gamma))
-    evals, evecs = sym_eig(kc)
+    evals, evecs = sym_eig(center_gram(gram(xm, "rbf", gamma)))
     top = evals[:r]
     if top[-1] <= max(evals[0], 1.0) * 1e-12:
         raise DegenerateInput(f"centered kernel has rank < {r}")
@@ -278,29 +353,98 @@ def cca(x: Matrix, y: Matrix, k: int | None = None, ridge_scale: float = 1e-8) -
 def svcca(x: Matrix, y: Matrix, eta: float = 0.99, k: int = 10) -> float:
     """SVD-truncate each view to explain >= eta of variance, then mean
     of the top min(r_x, r_y, k) canonical correlations."""
-    xm = as_matrix(x, "x")
-    ym = as_matrix(y, "y")
+    return _svcca(_View(as_matrix(x, "x")), _View(as_matrix(y, "y")), eta, k)
+
+
+def _svcca(xv: _View, yv: _View, eta: float, k: int) -> float:
     if not 0 < eta <= 1:
         raise InvalidInput(f"eta must be in (0, 1], got {eta}")
     if k < 1:
         raise InvalidInput("k must be >= 1")
+    xh = xv.truncated(eta)
+    yh = yv.truncated(eta)
+    corrs = cca(xh, yh, k=min(xh.shape[1], yh.shape[1]))
+    top = min(xh.shape[1], yh.shape[1], k)
+    return float(np.mean(corrs[:top]))
 
-    def truncate(m: Matrix) -> Matrix:
-        mc = center_columns(m)
-        u, s, _ = svd(mc)
+
+def _kept(a: np.ndarray) -> np.ndarray:
+    """Copy of ``a`` in its own anonymous mapping, outside the malloc heap.
+
+    Once an n x n array has been freed, glibc serves requests below 32 MiB
+    from its heap, and a small block kept there splits the freed n x n
+    blocks that the next kernel needs, so the heap grows instead. At n=2000
+    one such 80 KB array raised a report's peak RSS by 29 MB.
+    """
+    out = np.ndarray(a.shape, a.dtype, buffer=mmap.mmap(-1, max(a.nbytes, 1)),
+                     order="F" if np.isfortran(a) else "C")
+    out[...] = a
+    return out
+
+
+class _View:
+    """One embedding set and the costly results the metric cells derive from it.
+
+    The SVD of the centered features, the kernel-PCA scores and the kNN
+    index sets are computed on first use and kept (see _kept), so a report
+    that pairs the images with several text sets derives the image side
+    once. What is kept is d x d, n x r or n x k, never n x n. The centered
+    features and the projections cost O(n d r) and are formed again when
+    asked for: holding them would add to the memory peak of every later
+    n x n eigendecomposition. A computation that raises is not kept.
+    """
+
+    def __init__(self, x: Matrix):
+        self.x = x
+        self._memo = {}
+
+    def _memoized(self, key, compute):
+        if key not in self._memo:
+            value = compute()
+            self._memo[key] = tuple(map(_kept, value)) if isinstance(value, tuple) else _kept(value)
+        return self._memo[key]
+
+    def _svd(self) -> tuple[np.ndarray, Matrix]:
+        """Singular values and sign-fixed right singular vectors of the centered features."""
+
+        def compute():
+            _, s, vt = svd(center_columns(self.x))
+            return s, _fix_signs(vt)
+
+        return self._memoized("svd", compute)
+
+    def pca(self, r: int) -> Matrix:
+        """Top-r PCA projection of the centered features."""
+        n, d = self.x.shape
+        if not 1 <= r <= min(n - 1, d):
+            raise InvalidInput(f"r must be in [1, min(rows-1, cols)] = [1, {min(n - 1, d)}]")
+        return center_columns(self.x) @ self._svd()[1][:r].T
+
+    def truncated(self, eta: float) -> Matrix:
+        """SVCCA truncation: the projection on the top singular directions
+        that explain >= eta of the variance (U S of the thin SVD, up to signs)."""
+        s, vt = self._svd()
         energy = s * s
         total = energy.sum()
         if total <= 0:
             raise DegenerateInput("zero-variance view")
-        keep = int(np.searchsorted(np.cumsum(energy) / total, eta) + 1)
-        keep = min(keep, len(s))
-        return u[:, :keep] * s[:keep]
+        keep = min(int(np.searchsorted(np.cumsum(energy) / total, eta) + 1), len(s))
+        return center_columns(self.x) @ vt[:keep].T
 
-    xh = truncate(xm)
-    yh = truncate(ym)
-    corrs = cca(xh, yh, k=min(xh.shape[1], yh.shape[1]))
-    top = min(xh.shape[1], yh.shape[1], k)
-    return float(np.mean(corrs[:top]))
+    def kpca(self, r: int, gamma: float | None) -> Matrix:
+        return self._memoized(("kpca", r, gamma), lambda: kpca_reduce(self.x, r, gamma))
+
+    def knn(self, k: int, similarity: str) -> np.ndarray:
+        """n x k kNN index sets (see _knn_indices) under the given similarity."""
+        n = self.x.shape[0]
+        if not 1 <= k <= n - 1:
+            raise InvalidInput(f"k must be in [1, n-1], got k={k}, n={n}")
+
+        def compute():
+            f = _similarity_features(self.x, similarity)
+            return _knn_indices(f @ f.T, k)
+
+        return self._memoized(("knn", k, similarity), compute)
 
 
 @dataclass
@@ -338,7 +482,11 @@ SETTING_HARD = "hard_nonmatch"
 
 @dataclass
 class AlignmentReport:
-    """Metric grid over the match / easy non-match / hard non-match settings."""
+    """Metric grid over the match / easy non-match / hard non-match settings.
+
+    ``errors[setting][metric]`` holds the message of each cell that failed in
+    a tolerant report; only settings with a failed cell appear.
+    """
 
     scores: dict
     config: dict
@@ -348,45 +496,27 @@ class AlignmentReport:
         return {"scores": self.scores, "config": self.config, "errors": self.errors}
 
 
-def _metric_cell(name: str, v: Matrix, l: Matrix, cfg: MetricConfig) -> float:
-    n = v.shape[0]
+def _metric_cell(name: str, images: _View, texts: _View, cfg: MetricConfig) -> float:
+    n = images.x.shape[0]
     if name == "cca_linear":
-        r = min(cfg.pca_r, n - 1, v.shape[1], l.shape[1])
-        return float(cca(pca_reduce(v, r), pca_reduce(l, r), ridge_scale=cfg.cca_ridge)[0])
+        r = min(cfg.pca_r, n - 1, images.x.shape[1], texts.x.shape[1])
+        return float(cca(images.pca(r), texts.pca(r), ridge_scale=cfg.cca_ridge)[0])
     if name == "cca_kernel":
         r = min(cfg.pca_r, n - 1)
         return float(
             cca(
-                kpca_reduce(v, r, cfg.rbf_gamma),
-                kpca_reduce(l, r, cfg.rbf_gamma),
+                images.kpca(r, cfg.rbf_gamma),
+                texts.kpca(r, cfg.rbf_gamma),
                 ridge_scale=cfg.cca_ridge,
             )[0]
         )
     if name == "cka":
-        return cka(v, l, cfg.kernel, cfg.rbf_gamma)
+        return _cka(images, texts, cfg.kernel, cfg.rbf_gamma)
     if name == "svcca":
-        return svcca(v, l, cfg.svcca_eta, cfg.svcca_k)
+        return _svcca(images, texts, cfg.svcca_eta, cfg.svcca_k)
     if name == "cknna":
-        return cknna(v, l, cfg.knn_k, cfg.knn_similarity)
+        return _cknna(images, texts, cfg.knn_k, cfg.knn_similarity)
     raise InvalidInput(f"unknown metric {name!r}")
-
-
-def compute_setting_scores(v: Matrix, l: Matrix, cfg: MetricConfig, tolerant: bool = False):
-    """All metric cells for one (images, texts) pairing.
-
-    Returns (scores, errors); with ``tolerant`` a failing cell is recorded in
-    ``errors`` instead of propagating.
-    """
-    scores, errors = {}, {}
-    for name in METRIC_NAMES:
-        if tolerant:
-            try:
-                scores[name] = _metric_cell(name, v, l, cfg)
-            except (InvalidInput, DegenerateInput) as exc:
-                errors[name] = str(exc)
-        else:
-            scores[name] = _metric_cell(name, v, l, cfg)
-    return scores, errors
 
 
 def alignment_report(
@@ -395,20 +525,32 @@ def alignment_report(
     l_easy: Matrix | None,
     l_hard: Matrix,
     cfg: MetricConfig | None = None,
+    tolerant: bool = False,
 ) -> AlignmentReport:
     """Full metric grid; each setting pairs the same images with a text set.
 
-    Metric errors propagate. Pass ``l_easy=None`` to skip that setting.
+    The images' derived quantities are computed once and shared by every
+    setting (see the module docstring). Metric errors propagate; with
+    ``tolerant`` a failing cell is left out of ``scores`` and its message
+    recorded in ``errors`` instead. Pass ``l_easy=None`` to skip that setting.
     """
     cfg = cfg or MetricConfig()
-    vm = as_matrix(v, "v")
+    images = _View(as_matrix(v, "v"))
     settings = {SETTING_MATCH: l_match, SETTING_HARD: l_hard}
     if l_easy is not None:
         settings[SETTING_EASY] = l_easy
-    scores = {}
-    for name, l in settings.items():
-        lm = as_matrix(l, name)
-        if lm.shape[0] != vm.shape[0]:
-            raise InvalidInput(f"{name}: row count differs from images")
-        scores[name], _ = compute_setting_scores(vm, lm, cfg)
-    return AlignmentReport(scores=scores, config=cfg.to_dict())
+    scores, errors = {}, {}
+    for setting, l in settings.items():
+        lm = as_matrix(l, setting)
+        if lm.shape[0] != images.x.shape[0]:
+            raise InvalidInput(f"{setting}: row count differs from images")
+        texts = _View(lm)
+        scores[setting] = {}
+        for name in METRIC_NAMES:
+            try:
+                scores[setting][name] = _metric_cell(name, images, texts, cfg)
+            except (InvalidInput, DegenerateInput) as exc:
+                if not tolerant:
+                    raise
+                errors.setdefault(setting, {})[name] = str(exc)
+    return AlignmentReport(scores=scores, config=cfg.to_dict(), errors=errors)

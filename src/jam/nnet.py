@@ -288,14 +288,9 @@ class Autoencoder:
         """Returns (latent Z, reconstruction Xhat, tape)."""
         if mode not in ("train", "eval"):
             raise InvalidInput(f"mode must be 'train' or 'eval', got {mode!r}")
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.cfg.input_dim:
-            raise InvalidInput(
-                f"expected (n, {self.cfg.input_dim}) input, got {x.shape}"
-            )
         train = mode == "train"
         enc_records = []
-        h = x
+        h = self._checked_input(x)
         for layer in self.enc_layers:
             h, cache = layer.forward(h, train, rng)
             enc_records.append((layer, cache))
@@ -324,8 +319,20 @@ class Autoencoder:
         return grads, d
 
     def encode(self, x: Matrix) -> Matrix:
-        z, _, _ = self.forward(x, "eval")
-        return z
+        """Latent Z of x: the encoder layers in eval mode, with no decoder
+        pass and no tape; equal bit for bit to ``forward(x, "eval")[0]``."""
+        h = self._checked_input(x)
+        for layer in self.enc_layers:
+            h, _ = layer.forward(h, False, None)
+        return h
+
+    def _checked_input(self, x) -> Matrix:
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != self.cfg.input_dim:
+            raise InvalidInput(
+                f"expected (n, {self.cfg.input_dim}) input, got {x.shape}"
+            )
+        return x
 
 
 def build_autoencoder(cfg: AutoencoderConfig, rng: RngStream) -> Autoencoder:

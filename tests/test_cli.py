@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from jam.cli import main
-from jam.embed_io import read_embeddings
+from jam.embed_io import read_embeddings, write_embeddings
+from jam.metrics import METRIC_NAMES
 
 
 def run_cli(args):
@@ -90,6 +91,30 @@ class TestMetricsCommand:
         report = json.loads((out / "report.json").read_text())
         assert set(report["scores"]) == {"match", "hard_nonmatch"}
         assert "warning" in capsys.readouterr().out
+
+    def test_degenerate_text_view_records_errors(self, synth_dir, tmp_path, capsys):
+        manifest = json.loads((synth_dir / "manifest.json").read_text())
+        for key in ("images", "positives", "negatives"):
+            manifest[key] = str(synth_dir / manifest[key])
+        write_embeddings(tmp_path / "constant.jemb", np.ones((120, 20)))
+        manifest["easy"] = str(tmp_path / "constant.jemb")
+        mpath = tmp_path / "manifest.json"
+        mpath.write_text(json.dumps(manifest))
+        out = tmp_path / "metrics"
+        assert run_cli(["metrics", "--manifest", mpath, "--out-dir", out]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert set(report["errors"]) == {"easy_nonmatch"}
+        assert set(report["errors"]["easy_nonmatch"]) == set(METRIC_NAMES)
+        assert report["scores"]["easy_nonmatch"] == {}
+        for setting in ("match", "hard_nonmatch"):
+            assert set(report["scores"][setting]) == set(METRIC_NAMES)
+        with open(out / "report.csv") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert len(rows) == 3 * 5
+        for setting, _, score, error in rows:
+            assert (score == "") == (setting == "easy_nonmatch") == (error != "")
+        printed = capsys.readouterr().out
+        assert printed.count("warning: easy_nonmatch/") == 5
 
     def test_flag_override_echoed(self, synth_dir, tmp_path):
         out = tmp_path / "metrics"

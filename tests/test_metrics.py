@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jam import metrics
 from jam.errors import DegenerateInput, InvalidInput
 from jam.metrics import (
+    METRIC_NAMES,
     MetricConfig,
     alignment_report,
     cca,
@@ -18,7 +20,7 @@ from jam.metrics import (
     pca_reduce,
     svcca,
 )
-from jam.numkit import RngStream
+from jam.numkit import RngStream, sym_eig
 
 
 def hsic_double_sum(k, l):
@@ -126,6 +128,14 @@ class TestCka:
         with pytest.raises(DegenerateInput):
             cka(np.ones((6, 3)), RngStream(1).gaussian(6, 3))
 
+    def test_matches_hsic_definition(self):
+        r = RngStream(13)
+        x, y = r.gaussian(9, 3), r.gaussian(9, 5)
+        for kind, gamma in (("linear", None), ("rbf", None), ("rbf", 0.3)):
+            k, l = gram(x, kind, gamma), gram(y, kind, gamma)
+            expected = hsic(k, l) / np.sqrt(hsic(k, k) * hsic(l, l))
+            assert abs(cka(x, y, kind, gamma) - expected) < 1e-12, kind
+
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)
     def test_bounded(self, seed):
@@ -204,6 +214,14 @@ class TestCknna:
         r = RngStream(3)
         v, l = r.gaussian(10, 3), r.gaussian(10, 5)
         np.testing.assert_array_equal(mutual_knn_mask(v, l, 3), knn_mask_oracle(v, l, 3))
+        # rounded coordinates make similarities tie exactly, also at the k-th
+        # neighbor, where the lower column index must win
+        tv, tl = np.round(v), np.round(l)
+        assert any(len(set(row)) < len(row) for row in tv @ tv.T)
+        for k in (1, 3, 9):
+            np.testing.assert_array_equal(mutual_knn_mask(tv, tl, k), knn_mask_oracle(tv, tl, k))
+            mask = mutual_knn_mask(tv, tv, k)
+            np.testing.assert_array_equal(mask.sum(axis=1), np.full(10, k))
 
     def test_k_out_of_range(self):
         v = RngStream(4).gaussian(5, 2)
@@ -365,6 +383,51 @@ class TestAlignmentReport:
         ds, _, _ = small_synth
         report = alignment_report(ds.images, ds.positives, None, ds.negatives)
         assert set(report.scores) == {"match", "hard_nonmatch"}
+
+    def test_cells_equal_public_functions_and_image_side_runs_once(self, small_synth, monkeypatch):
+        ds, easy, _ = small_synth
+        v, n, cfg = ds.images, ds.n, MetricConfig()
+        sizes = []
+
+        def counting_sym_eig(s, *args, **kwargs):
+            sizes.append(s.shape[0])
+            return sym_eig(s, *args, **kwargs)
+
+        monkeypatch.setattr(metrics, "sym_eig", counting_sym_eig)
+        report = alignment_report(v, ds.positives, easy, ds.negatives, cfg)
+        # one RBF kernel-PCA eigendecomposition per view: images + 3 text sets
+        assert sizes.count(n) == 4
+        monkeypatch.undo()
+        assert report.errors == {}
+        settings = {"match": ds.positives, "easy_nonmatch": easy, "hard_nonmatch": ds.negatives}
+        for setting, texts in settings.items():
+            r = min(cfg.pca_r, n - 1, v.shape[1], texts.shape[1])
+            kr = min(cfg.pca_r, n - 1)
+            expected = {
+                "cca_linear": cca(pca_reduce(v, r), pca_reduce(texts, r))[0],
+                "cca_kernel": cca(kpca_reduce(v, kr), kpca_reduce(texts, kr))[0],
+                "cka": cka(v, texts),
+                "svcca": svcca(v, texts, cfg.svcca_eta, cfg.svcca_k),
+                "cknna": cknna(v, texts, cfg.knn_k),
+            }
+            assert list(report.scores[setting]) == list(expected)
+            for metric, value in expected.items():
+                assert abs(report.scores[setting][metric] - value) <= 1e-12, (setting, metric)
+
+    def test_degenerate_text_view_recorded_in_errors(self, small_synth):
+        ds, _, _ = small_synth
+        constant = np.ones_like(ds.positives)
+        with pytest.raises(DegenerateInput):
+            alignment_report(ds.images, ds.positives, constant, ds.negatives)
+        report = alignment_report(ds.images, ds.positives, constant, ds.negatives, tolerant=True)
+        assert set(report.errors) == {"easy_nonmatch"}
+        failed = report.errors["easy_nonmatch"]
+        assert set(failed) == set(METRIC_NAMES)
+        assert all(message for message in failed.values())
+        assert report.scores["easy_nonmatch"] == {}
+        strict = alignment_report(ds.images, ds.positives, None, ds.negatives)
+        for setting in ("match", "hard_nonmatch"):
+            assert report.scores[setting] == strict.scores[setting]
 
 
 class TestPermutationInvariance:

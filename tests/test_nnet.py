@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jam import losses
+from jam import losses, presets
 from jam.errors import InvalidInput, NonFiniteGradient, UsageError
 from jam.nnet import (
     AdamW,
@@ -151,6 +151,23 @@ class TestAutoencoder:
         z2, x2, _ = ae.forward(x, "eval")
         np.testing.assert_array_equal(z1, z2)
         np.testing.assert_array_equal(x1, x2)
+
+    @pytest.mark.parametrize("which", ["ae_cfg_vision", "ae_cfg_language"])
+    def test_encode_runs_only_the_encoder(self, which, monkeypatch):
+        cfg = getattr(presets.benchmark_train_config("spread"), which)
+        ae = build_autoencoder(cfg, RngStream(11))
+        x = RngStream(12).gaussian(40, cfg.input_dim)
+        z_forward = ae.forward(x, "eval")[0]
+
+        def no_decoder(*args):
+            raise AssertionError("encode ran a decoder layer")
+
+        for layer in ae.dec_layers:
+            monkeypatch.setattr(layer, "forward", no_decoder)
+        z = ae.encode(x)
+        assert z.shape == z_forward.shape and z.tobytes() == z_forward.tobytes()
+        with pytest.raises(InvalidInput):
+            ae.encode(np.zeros((2, cfg.input_dim + 1)))
 
     def test_train_no_dropout_equals_eval(self):
         ae = build_autoencoder(AutoencoderConfig(6, [4], 3, dropout=0.0), RngStream(1))
