@@ -25,19 +25,27 @@ from .errors import InvalidInput, NonFiniteGradient, UsageError
 from .numkit import Matrix, RngStream
 
 
+# Most rows `Autoencoder.encode` runs through the encoder at once, so its
+# activations stay a few MB for any input size.
+_ENCODE_BLOCK_ROWS = 1024
+
+
 def _glorot(rng: RngStream, d_in: int, d_out: int) -> Matrix:
     std = math.sqrt(2.0 / (d_in + d_out))
     return rng.gaussian(d_in, d_out) * std
 
 
 def _sigmoid(a):
-    # two-branch form avoids exp overflow for large |a|
-    out = np.empty_like(a)
-    pos = a >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
-    ea = np.exp(a[~pos])
-    out[~pos] = ea / (1.0 + ea)
-    return out
+    # 1 / (1 + exp(-a)) where a >= 0, exp(a) / (1 + exp(a)) elsewhere: exp of
+    # -|a| never overflows, and each element gets exactly those float operations
+    e = np.abs(a)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    d = e + 1.0
+    e /= d
+    np.divide(1.0, d, out=d)
+    np.copyto(e, d, where=a >= 0)
+    return e
 
 
 def _silu(a):
@@ -320,8 +328,18 @@ class Autoencoder:
 
     def encode(self, x: Matrix) -> Matrix:
         """Latent Z of x: the encoder layers in eval mode, with no decoder
-        pass and no tape; equal bit for bit to ``forward(x, "eval")[0]``."""
-        h = self._checked_input(x)
+        pass and no tape, over blocks of at most ``_ENCODE_BLOCK_ROWS`` rows
+        so the activations of a large input never sit in memory at once.
+        Equal to ``forward(x, "eval")[0]`` up to BLAS rounding."""
+        x = self._checked_input(x)
+        # at least one block, so a 0-row input still gives a (0, latent) array
+        blocks = [
+            self._encode_block(x[start : start + _ENCODE_BLOCK_ROWS])
+            for start in range(0, max(len(x), 1), _ENCODE_BLOCK_ROWS)
+        ]
+        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+    def _encode_block(self, h: Matrix) -> Matrix:
         for layer in self.enc_layers:
             h, _ = layer.forward(h, False, None)
         return h
@@ -411,19 +429,6 @@ class AdamW:
             v *= self.beta2
             v += (1.0 - self.beta2) * (g * g)
             p -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-
-    def state_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "m": {k: v.copy() for k, v in self.m.items()},
-            "v": {k: v.copy() for k, v in self.v.items()},
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.t = int(state["t"])
-        for k in self.m:
-            self.m[k][...] = state["m"][k]
-            self.v[k][...] = state["v"][k]
 
 
 def grad_check(

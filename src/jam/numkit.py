@@ -10,6 +10,7 @@ independent streams never perturb each other regardless of call interleaving.
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 from .errors import InvalidInput
 
@@ -36,20 +37,33 @@ def svd(a: Matrix) -> tuple[Matrix, np.ndarray, Matrix]:
     return u, s, vt
 
 
-def sym_eig(s: Matrix, tol: float = 1e-10) -> tuple[np.ndarray, Matrix]:
+def sym_eig(s: Matrix, tol: float = 1e-10, top: int | None = None) -> tuple[np.ndarray, Matrix]:
     """Eigendecomposition of a symmetric matrix, eigenvalues descending.
 
-    Asymmetry beyond ``tol`` (scaled by max(1, max|S|)) is rejected; within
-    tolerance the input is symmetrized before factorization so the returned
-    eigenvectors are exactly orthonormal.
+    With ``top`` only the ``top`` largest eigenpairs are returned (all n by
+    default). Asymmetry beyond ``tol`` (scaled by max(1, max|S|)) is
+    rejected. The solver is LAPACK ``syevr`` (MRRR) over an index range; it
+    reads one triangle of S, so the returned eigenvectors are exactly
+    orthonormal without symmetrizing. The input is not modified.
     """
     m = as_matrix(s, "symmetric matrix")
-    if m.shape[0] != m.shape[1]:
+    n = m.shape[0]
+    if n != m.shape[1]:
         raise InvalidInput(f"expected square matrix, got {m.shape}")
-    scale = max(1.0, float(np.abs(m).max())) if m.size else 1.0
-    if m.size and float(np.abs(m - m.T).max()) > tol * scale:
-        raise InvalidInput("matrix is asymmetric beyond tolerance")
-    w, v = np.linalg.eigh((m + m.T) / 2.0)
+    top = n if top is None else int(top)
+    if not min(n, 1) <= top <= n:
+        raise InvalidInput(f"top must be in [1, {n}], got {top}")
+    if m.size:
+        scale = max(1.0, float(m.max()), -float(m.min()))
+        asym = m - m.T
+        np.abs(asym, out=asym)
+        too_asymmetric = float(asym.max()) > tol * scale
+        del asym  # free the n x n temporary before LAPACK takes its copy
+        if too_asymmetric:
+            raise InvalidInput("matrix is asymmetric beyond tolerance")
+    w, v = scipy.linalg.eigh(
+        m, subset_by_index=[n - top, n - 1], driver="evr", check_finite=False
+    )
     return w[::-1].copy(), v[:, ::-1].copy()
 
 

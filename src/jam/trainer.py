@@ -146,7 +146,6 @@ class TrainedJAM:
     sim_cfg: SimilarityConfig
     log_scale: float | None
     loss_cfg: LossConfig
-    opt_state: dict | None = None  # final AdamW moments, persisted in checkpoints
 
     def encode_vision(self, x):
         return self.vision_ae.encode(x)
@@ -357,7 +356,6 @@ def train(train_ds: PairedDataset, val_ds: PairedDataset, cfg: TrainConfig, seed
     model.log_scale = current_log_scale()
     if best_snap is not None:
         _restore(model, best_snap)
-    model.opt_state = opt.state_dict()
     return model, history
 
 
@@ -429,7 +427,10 @@ def train_on_split(full_ds: PairedDataset, cfg: TrainConfig, seed: int, ratios=(
 
 
 def save_jam(path, model: TrainedJAM, cfg: TrainConfig, seed: int, extra_meta: dict | None = None):
-    """Persist a trained model: parameters, config echo, optimizer state."""
+    """Persist a trained model: parameters and config echo.
+
+    The optimizer state is not written; checkpoints that hold it (``opt.*``
+    tensors) still load, since ``load_jam`` reads only the parameters."""
     tensors = {}
     for name, arr in model.vision_ae.parameters().items():
         tensors[f"v.{name}"] = arr
@@ -437,17 +438,9 @@ def save_jam(path, model: TrainedJAM, cfg: TrainConfig, seed: int, extra_meta: d
         tensors[f"l.{name}"] = arr
     if model.log_scale is not None:
         tensors["logit_scale"] = np.array([model.log_scale])
-    opt_t = 0
-    if model.opt_state is not None:
-        opt_t = model.opt_state["t"]
-        for name, arr in model.opt_state["m"].items():
-            tensors[f"opt.m.{name}"] = arr
-        for name, arr in model.opt_state["v"].items():
-            tensors[f"opt.v.{name}"] = arr
     meta = {
         "train_config": cfg.to_dict(),
         "seed": int(seed),
-        "opt_t": int(opt_t),
         "format_version": 1,
     }
     if extra_meta:

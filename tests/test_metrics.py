@@ -303,6 +303,21 @@ class TestKpca:
         with pytest.raises(InvalidInput):
             kpca_reduce(RngStream(7).gaussian(6, 3), 6)
 
+    def test_matches_full_eigh_reference(self):
+        # reference: numpy's full eigh of the centered kernel, top r pairs
+        x, r = RngStream(21).gaussian(300, 8), 20
+        w, v = np.linalg.eigh(center_gram(gram(x, "rbf")))
+        ref = v[:, ::-1][:, :r] * np.sqrt(w[::-1][:r])
+        peak = ref[np.abs(ref).argmax(axis=0), np.arange(r)]
+        ref *= np.sign(peak)
+        np.testing.assert_allclose(kpca_reduce(x, r), ref, rtol=0, atol=1e-9)
+
+    def test_rank_deficient_kernel_raises(self):
+        # four distinct points: the centered kernel has rank 3
+        x = np.repeat(RngStream(22).gaussian(4, 3), 5, axis=0)
+        with pytest.raises(DegenerateInput):
+            kpca_reduce(x, 5)
+
 
 class TestCca:
     def test_linear_relation_all_ones(self):

@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jam import losses, presets
+from jam import losses, nnet, presets
 from jam.errors import InvalidInput, NonFiniteGradient, UsageError
 from jam.nnet import (
     AdamW,
@@ -169,6 +171,29 @@ class TestAutoencoder:
         with pytest.raises(InvalidInput):
             ae.encode(np.zeros((2, cfg.input_dim + 1)))
 
+    def test_encode_runs_in_blocks_and_matches_forward(self, monkeypatch):
+        cfg = presets.benchmark_train_config("spread").ae_cfg_language
+        ae = build_autoencoder(cfg, RngStream(13))
+        x = RngStream(14).gaussian(2500, cfg.input_dim)
+        z_forward = ae.forward(x, "eval")[0]
+        first = ae.enc_layers[0]
+        rows = []
+
+        def counting_forward(h, train, rng):
+            rows.append(len(h))
+            return type(first).forward(first, h, train, rng)
+
+        monkeypatch.setattr(first, "forward", counting_forward)
+        z = ae.encode(x)
+        assert sum(rows) == 2500 and max(rows) <= nnet._ENCODE_BLOCK_ROWS < 2500
+        assert z.shape == z_forward.shape
+        assert np.abs(z - z_forward).max() <= 1e-12 * np.abs(z_forward).max()
+
+    def test_encode_empty_input(self):
+        cfg = AutoencoderConfig(6, [4], 3)
+        z = build_autoencoder(cfg, RngStream(1)).encode(np.zeros((0, 6)))
+        assert z.shape == (0, 3)
+
     def test_train_no_dropout_equals_eval(self):
         ae = build_autoencoder(AutoencoderConfig(6, [4], 3, dropout=0.0), RngStream(1))
         x = RngStream(2).gaussian(4, 6)
@@ -234,6 +259,29 @@ class TestAutoencoder:
         grads["enc.latent.w"] = grads["enc.latent.w"] + 0.05  # sabotage
         err = grad_check(ae.parameters(), loss_only, grads, num_samples=400, rng=RngStream(1))
         assert err > 1e-2
+
+
+def _sigmoid_two_branch(a):
+    out = np.empty_like(a)
+    pos = a >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
+    ea = np.exp(a[~pos])
+    out[~pos] = ea / (1.0 + ea)
+    return out
+
+
+class TestSigmoid:
+    def test_bit_equal_to_two_branch_form(self):
+        special = [0.0, -0.0, 1e-300, -1e-300, 30.0, -30.0, 800.0, -800.0, np.nan]
+        a = np.concatenate([RngStream(31).normal(4000) * 10.0, special]).reshape(-1, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="raise"):
+                got = nnet._sigmoid(a)
+        want = _sigmoid_two_branch(a)
+        nan = np.isnan(want)
+        np.testing.assert_array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 class TestAdamW:

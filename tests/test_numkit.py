@@ -62,6 +62,34 @@ class TestSymEig:
     def test_asymmetric_rejected(self):
         with pytest.raises(InvalidInput):
             sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        with pytest.raises(InvalidInput):
+            sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]), top=1)
+
+    @pytest.mark.parametrize("k", [1, 7, 60])
+    def test_top_equals_leading_pairs_of_full(self, k):
+        g = RngStream(17).gaussian(60, 60)
+        s = (g + g.T) / 2
+        w_all, v_all = sym_eig(s)
+        w, v = sym_eig(s, top=k)
+        assert w.shape == (k,) and v.shape == (60, k)
+        assert np.all(np.diff(w) <= 0)
+        assert np.abs(w - w_all[:k]).max() <= 1e-10 * np.abs(w_all).max()
+        signs = np.sign(np.sum(v * v_all[:, :k], axis=0))
+        np.testing.assert_allclose(v * signs, v_all[:, :k], atol=1e-8)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_input_unchanged(self, order):
+        g = RngStream(19).gaussian(30, 30)
+        s = np.array((g + g.T) / 2, order=order)
+        before = s.copy()
+        sym_eig(s)
+        sym_eig(s, top=3)
+        np.testing.assert_array_equal(s, before)
+
+    @pytest.mark.parametrize("top", [0, 3])
+    def test_top_out_of_range_rejected(self, top):
+        with pytest.raises(InvalidInput):
+            sym_eig(np.eye(2), top=top)
 
 
 class TestCenterColumns:

@@ -6,7 +6,7 @@ import pytest
 from jam.embed_io import SynthConfig, split_dataset, synth_generate
 from jam.errors import InvalidInput, NonFiniteLoss
 from jam.losses import LossConfig, SimilarityConfig
-from jam.nnet import AutoencoderConfig
+from jam.nnet import AutoencoderConfig, load_checkpoint, save_checkpoint
 from jam.trainer import (
     EarlyStopping,
     TrainConfig,
@@ -243,3 +243,35 @@ class TestCheckpointRoundTrip:
             model, _ = train(tr, va, cfg, seed=42)
             save_jam(tmp_path / f"{name}.jckp", model, cfg, seed=42)
         assert (tmp_path / "a.jckp").read_bytes() == (tmp_path / "b.jckp").read_bytes()
+
+    def test_checkpoint_holds_parameters_only(self, tiny_data, tmp_path):
+        tr, va, _ = tiny_data
+        cfg = tiny_cfg(epochs=5)
+        model, _ = train(tr, va, cfg, seed=5)
+        save_jam(tmp_path / "model.jckp", model, cfg, seed=5)
+        tensors, meta = load_checkpoint(tmp_path / "model.jckp")
+        params = {f"v.{k}" for k in model.vision_ae.parameters()}
+        params |= {f"l.{k}" for k in model.language_ae.parameters()}
+        assert set(tensors) == params | {"logit_scale"}
+        assert "opt_t" not in meta
+
+    def test_checkpoint_with_optimizer_moments_loads(self, tiny_data, tmp_path):
+        # the layout written before the AdamW moments were dropped from checkpoints
+        tr, va, te = tiny_data
+        cfg = tiny_cfg(epochs=5)
+        model, _ = train(tr, va, cfg, seed=5)
+        save_jam(tmp_path / "new.jckp", model, cfg, seed=5)
+        tensors, meta = load_checkpoint(tmp_path / "new.jckp")
+        for name, arr in list(tensors.items()):
+            tensors[f"opt.m.{name}"] = np.full_like(arr, 0.5)
+            tensors[f"opt.v.{name}"] = np.full_like(arr, 0.25)
+        save_checkpoint(tmp_path / "old.jckp", tensors, {**meta, "opt_t": 30})
+        loaded, old_meta = load_jam(tmp_path / "old.jckp")
+        assert old_meta["opt_t"] == 30
+        np.testing.assert_array_equal(
+            loaded.encode_vision(te.images), model.encode_vision(te.images)
+        )
+        np.testing.assert_array_equal(
+            loaded.encode_language(te.negatives), model.encode_language(te.negatives)
+        )
+        assert loaded.log_scale == model.log_scale
