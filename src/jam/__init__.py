@@ -30,7 +30,7 @@ from .errors import (
 from .evalkit import RetrievalResult, aggregate_seeds, recall_5way, recall_binary
 from .losses import LossConfig, SimilarityConfig
 from .metrics import MetricConfig, alignment_report, cca, cka, cknna, svcca
-from .nnet import AutoencoderConfig, build_autoencoder
+from .nnet import AutoencoderConfig
 from .numkit import RngStream
 from .trainer import TrainConfig, TrainedJAM, sweep_alpha, train, validate
 
@@ -58,7 +58,6 @@ __all__ = [
     "UsageError",
     "aggregate_seeds",
     "alignment_report",
-    "build_autoencoder",
     "cca",
     "cka",
     "cknna",

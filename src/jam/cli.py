@@ -7,10 +7,6 @@ each artifact it writes. Reruns with identical config produce bit-identical
 files on one numpy/OpenBLAS build; another BLAS kernel changes the bits.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numerical abort.
-``JAM_THREADS`` (an integer >= 0, default 0) is validated and recorded in
-each artifact's config, but sets no thread count: the code runs in one
-Python thread, and BLAS threads follow the BLAS library's own setting
-(``OPENBLAS_NUM_THREADS`` for OpenBLAS).
 """
 
 from __future__ import annotations
@@ -18,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -165,19 +160,7 @@ def _resolve_config(command: str, args) -> dict:
         value = getattr(args, key)
         if value is not None:
             resolved[key] = value
-    resolved["jam_threads"] = _jam_threads()
     return resolved
-
-
-def _jam_threads() -> int:
-    raw = os.environ.get("JAM_THREADS", "0")
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"JAM_THREADS must be an integer, got {raw!r}") from exc
-    if value < 0:
-        raise ConfigError("JAM_THREADS must be >= 0")
-    return value
 
 
 def _write_json(path, payload) -> None:

@@ -38,12 +38,17 @@ def _unit_rows(z) -> Matrix:
     return m / np.maximum(norms, 1e-30)
 
 
-def recall_binary(zv, zlp, zln) -> float:
-    """Fraction of queries whose positive strictly beats its hard negative."""
+def binary_hits(zv, zlp, zln) -> np.ndarray:
+    """Per-query outcomes: True where the positive strictly beats its hard negative."""
     uv = _unit_rows(zv)
     sp = np.sum(uv * _unit_rows(zlp), axis=1)
     sn = np.sum(uv * _unit_rows(zln), axis=1)
-    return float(np.mean(sp > sn))
+    return sp > sn
+
+
+def recall_binary(zv, zlp, zln) -> float:
+    """Fraction of queries whose positive strictly beats its hard negative."""
+    return float(np.mean(binary_hits(zv, zlp, zln)))
 
 
 def sample_distractors(n: int, rng: RngStream) -> np.ndarray:

@@ -20,8 +20,10 @@ ConCon pulls the anchor toward its two similar-context texts against the
 rest of the batch; contextNCE sharpens the positive against the hard
 negative inside that two-element context.
 
-Each public loss returns a float; ``alignment_grads`` additionally returns
-exact gradients w.r.t. all latent inputs and the learnable log scale.
+``alignment_grads`` returns an objective's value, its named parts and
+exact gradients w.r.t. all latent inputs and the learnable log scale. Each
+public ``loss_*`` returns a float read from it, except ``loss_concon``, which
+also takes arbitrary context sets.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateInput, InvalidInput
-from .numkit import Matrix
+from .numkit import Matrix, as_matrix
 
 OBJECTIVES = ("con", "negcon", "spread")
 
@@ -88,6 +90,12 @@ class LossConfig:
             raise InvalidInput(f"objective must be one of {OBJECTIVES}")
         if not 0.0 <= self.alpha <= 1.0:
             raise InvalidInput("alpha must be in [0, 1]")
+        if self.alpha_schedule is not None:
+            # a linear schedule lies between its endpoints, so checking them
+            # bounds every epoch's alpha; a malformed spec raises ConfigError
+            for frac in (0.0, 1.0):
+                if not 0.0 <= alpha_schedule(self.alpha_schedule, frac, 1.0) <= 1.0:
+                    raise InvalidInput("alpha schedule must stay in [0, 1]")
         if not self.lambda_start >= self.lambda_end >= 0.0:
             raise InvalidInput("need lambda_start >= lambda_end >= 0")
 
@@ -139,15 +147,6 @@ class ContextSets:
         return cls(pairs=np.stack([idx, n + idx], axis=1), n_texts=2 * n)
 
 
-def _check_latents(z, name: str) -> Matrix:
-    m = np.asarray(z, dtype=np.float64)
-    if m.ndim != 2:
-        raise InvalidInput(f"{name} must be 2-D, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise InvalidInput(f"{name} contains non-finite values")
-    return m
-
-
 def _normalize_rows(z: Matrix, name: str):
     norms = np.linalg.norm(z, axis=1, keepdims=True)
     if np.any(norms == 0.0):
@@ -164,13 +163,7 @@ def cosine_logits(
     za: Matrix, zb: Matrix, sim_cfg: SimilarityConfig, log_scale: float | None = None
 ) -> Matrix:
     """scale * cosine(z_a, z_b) for every pair of rows."""
-    a = _check_latents(za, "za")
-    b = _check_latents(zb, "zb")
-    if a.shape[1] != b.shape[1]:
-        raise InvalidInput("latent dims differ")
-    ua, _ = _normalize_rows(a, "za")
-    ub, _ = _normalize_rows(b, "zb")
-    return sim_cfg.scale(log_scale) * (ua @ ub.T)
+    return _LogitGraph(as_matrix(za, "za"), as_matrix(zb, "zb"), sim_cfg, log_scale).s
 
 
 def _masked_nce(s, row_idx, pos_idx, pool_mask, weights):
@@ -210,10 +203,10 @@ class _LogitGraph:
     """Cosine-logit block with a backward pass to latent/log-scale grads."""
 
     def __init__(self, zv, z_texts, sim_cfg, log_scale):
-        self.uv, self.nv = _normalize_rows(zv, "zv")
-        self.ut, self.nt = _normalize_rows(z_texts, "texts")
         if zv.shape[1] != z_texts.shape[1]:
             raise InvalidInput("latent dims differ")
+        self.uv, self.nv = _normalize_rows(zv, "zv")
+        self.ut, self.nt = _normalize_rows(z_texts, "texts")
         self.learnable = sim_cfg.logit_scale_mode == "learnable"
         self.scale = sim_cfg.scale(log_scale)
         self.s = self.scale * (self.uv @ self.ut.T)
@@ -281,47 +274,30 @@ def _contextnce_terms(s2, contexts):
     return _masked_nce(s2, idx, contexts.pairs[:, 0], pool, np.full(n, 1.0 / n))
 
 
-def _spread_vl_combine(concon, ctx, alpha: float):
-    # exact endpoint passthrough: alpha 0/1 must reproduce the bare component
-    if alpha == 0.0:
-        return concon
-    if alpha == 1.0:
-        return ctx
-    return (1.0 - alpha) * concon + alpha * ctx
-
-
 # ---------------------------------------------------------------------------
 # public losses (values)
 # ---------------------------------------------------------------------------
 
 
 def loss_vl_con(zv, zlp, sim_cfg, log_scale=None, include_positive=False) -> float:
-    g = _LogitGraph(_check_latents(zv, "zv"), _check_latents(zlp, "zlp"), sim_cfg, log_scale)
-    return _infonce_square(g.s, include_positive)[0]
+    return alignment_grads("con", zv, zlp, None, 0.0, sim_cfg, log_scale, include_positive)[5]["vl"]
 
 
 def loss_lv(zlp, zv, sim_cfg, log_scale=None, include_positive=False) -> float:
-    g = _LogitGraph(_check_latents(zv, "zv"), _check_latents(zlp, "zlp"), sim_cfg, log_scale)
-    return _infonce_square(g.s.T, include_positive)[0]
+    return alignment_grads("con", zv, zlp, None, 0.0, sim_cfg, log_scale, include_positive)[5]["lv"]
 
 
 def loss_con(zv, zlp, sim_cfg, log_scale=None, include_positive=False) -> float:
-    g = _LogitGraph(_check_latents(zv, "zv"), _check_latents(zlp, "zlp"), sim_cfg, log_scale)
-    vl, lv, _ = _con_terms(g, include_positive)
-    return 0.5 * (vl + lv)
+    return alignment_grads("con", zv, zlp, None, 0.0, sim_cfg, log_scale, include_positive)[0]
 
 
 def loss_negcon(zv, zlp, zln, sim_cfg, log_scale=None, include_positive=False) -> float:
-    zv = _check_latents(zv, "zv")
-    texts = np.concatenate([_check_latents(zlp, "zlp"), _check_latents(zln, "zln")])
-    g = _LogitGraph(zv, texts, sim_cfg, log_scale)
-    vl, lv, _ = _negcon_terms(g, zv.shape[0], include_positive)
-    return 0.5 * (vl + lv)
+    return alignment_grads("negcon", zv, zlp, zln, 0.0, sim_cfg, log_scale, include_positive)[0]
 
 
 def loss_concon(zv, zl_all, contexts=None, sim_cfg=None, log_scale=None) -> float:
-    zv = _check_latents(zv, "zv")
-    zl_all = _check_latents(zl_all, "zl_all")
+    zv = as_matrix(zv, "zv")
+    zl_all = as_matrix(zl_all, "zl_all")
     sim_cfg = sim_cfg or SimilarityConfig()
     if contexts is None:
         if zl_all.shape[0] != 2 * zv.shape[0]:
@@ -332,33 +308,15 @@ def loss_concon(zv, zl_all, contexts=None, sim_cfg=None, log_scale=None) -> floa
 
 
 def loss_contextnce(zv, zlp, zln, sim_cfg, log_scale=None) -> float:
-    zv = _check_latents(zv, "zv")
-    texts = np.concatenate([_check_latents(zlp, "zlp"), _check_latents(zln, "zln")])
-    g = _LogitGraph(zv, texts, sim_cfg, log_scale)
-    return _contextnce_terms(g.s, ContextSets.canonical(zv.shape[0]))[0]
+    return alignment_grads("spread", zv, zlp, zln, 1.0, sim_cfg, log_scale)[5]["contextnce"]
 
 
 def loss_spread_vl(zv, zlp, zln, alpha, sim_cfg, log_scale=None) -> float:
-    if not 0.0 <= alpha <= 1.0:
-        raise InvalidInput("alpha must be in [0, 1]")
-    zv = _check_latents(zv, "zv")
-    texts = np.concatenate([_check_latents(zlp, "zlp"), _check_latents(zln, "zln")])
-    g = _LogitGraph(zv, texts, sim_cfg, log_scale)
-    contexts = ContextSets.canonical(zv.shape[0])
-    concon = _concon_terms(g.s, contexts)[0]
-    ctx = _contextnce_terms(g.s, contexts)[0]
-    return _spread_vl_combine(concon, ctx, alpha)
+    return alignment_grads("spread", zv, zlp, zln, alpha, sim_cfg, log_scale)[5]["spread_vl"]
 
 
 def loss_spread(zv, zlp, zln, alpha, sim_cfg, log_scale=None, include_positive=False) -> float:
-    if not 0.0 <= alpha <= 1.0:
-        raise InvalidInput("alpha must be in [0, 1]")
-    zv = _check_latents(zv, "zv")
-    zlp = _check_latents(zlp, "zlp")
-    zln = _check_latents(zln, "zln")
-    spread_vl = loss_spread_vl(zv, zlp, zln, alpha, sim_cfg, log_scale)
-    lv = loss_lv(zlp, zv, sim_cfg, log_scale, include_positive)
-    return 0.5 * (spread_vl + lv)
+    return alignment_grads("spread", zv, zlp, zln, alpha, sim_cfg, log_scale, include_positive)[0]
 
 
 def mse_recon(x, xhat) -> float:
@@ -387,15 +345,18 @@ def alpha_schedule(spec, epoch: float, total: float) -> float:
     if isinstance(spec, (int, float)):
         return float(spec)
     if isinstance(spec, (tuple, list)):
-        if len(spec) == 2 and spec[0] == "fixed":
-            return float(spec[1])
-        if len(spec) == 3 and spec[0] == "linear":
-            start, end = float(spec[1]), float(spec[2])
-            if total <= 0:
-                return start
-            return start + (end - start) * (epoch / total)
         if spec and spec[0] == "sweep":
             raise ConfigError("sweep schedules are resolved by the trainer")
+        try:
+            if len(spec) == 2 and spec[0] == "fixed":
+                return float(spec[1])
+            if len(spec) == 3 and spec[0] == "linear":
+                start, end = float(spec[1]), float(spec[2])
+                if total <= 0:
+                    return start
+                return start + (end - start) * (epoch / total)
+        except (TypeError, ValueError):
+            pass  # a non-numeric value is as malformed as a wrong shape
     raise ConfigError(f"malformed alpha schedule spec: {spec!r}")
 
 
@@ -403,42 +364,6 @@ def alpha_at(cfg: LossConfig, epoch: float, total: float) -> float:
     if cfg.alpha_schedule is None:
         return cfg.alpha
     return alpha_schedule(cfg.alpha_schedule, epoch, total)
-
-
-def total_objective(
-    latents,
-    recon_pairs,
-    epoch: float,
-    total_epochs: float,
-    loss_cfg: LossConfig,
-    sim_cfg: SimilarityConfig,
-    log_scale: float | None = None,
-):
-    """lambda(t) * (MSE_V + MSE_L) + alignment loss; returns (value, breakdown)."""
-    zv, zlp, zln = latents
-    (x_v, xhat_v), (x_l, xhat_l) = recon_pairs
-    lam = lambda_schedule(epoch, total_epochs, loss_cfg)
-    alpha = alpha_at(loss_cfg, epoch, total_epochs)
-    recon_v = mse_recon(x_v, xhat_v)
-    recon_l = mse_recon(x_l, xhat_l)
-    include = loss_cfg.include_positive_in_denominator
-    if loss_cfg.objective == "con":
-        align = loss_con(zv, zlp, sim_cfg, log_scale, include)
-    elif loss_cfg.objective == "negcon":
-        align = loss_negcon(zv, zlp, zln, sim_cfg, log_scale, include)
-    else:
-        align = loss_spread(zv, zlp, zln, alpha, sim_cfg, log_scale, include)
-    total = lam * (recon_v + recon_l) + align
-    breakdown = {
-        "recon_v": recon_v,
-        "recon_l": recon_l,
-        "align": align,
-        "lambda": lam,
-        "alpha": alpha,
-        "logit_scale": sim_cfg.scale(log_scale),
-        "total": total,
-    }
-    return total, breakdown
 
 
 # ---------------------------------------------------------------------------
@@ -460,11 +385,14 @@ def alignment_grads(
 
     Returns (value, d_zv, d_zlp, d_zln, d_log_scale, parts); d_zln is zero for
     the plain contrastive objective, which never consumes hard negatives.
+    ``alpha`` must lie in [0, 1] for every objective; only spread reads it.
     """
     if objective not in OBJECTIVES:
         raise InvalidInput(f"objective must be one of {OBJECTIVES}")
-    zv = _check_latents(zv, "zv")
-    zlp = _check_latents(zlp, "zlp")
+    if not 0.0 <= alpha <= 1.0:
+        raise InvalidInput("alpha must be in [0, 1]")
+    zv = as_matrix(zv, "zv")
+    zlp = as_matrix(zlp, "zlp")
     n = zv.shape[0]
     parts = {}
 
@@ -477,7 +405,7 @@ def alignment_grads(
         parts.update(vl=vl, lv=lv)
         return value, d_zv, d_zlp, d_zln, dls, parts
 
-    zln = _check_latents(zln, "zln")
+    zln = as_matrix(zln, "zln")
     texts = np.concatenate([zlp, zln])
     g = _LogitGraph(zv, texts, sim_cfg, log_scale)
 
@@ -490,7 +418,10 @@ def alignment_grads(
         concon, ds_concon = _concon_terms(g.s, contexts)
         ctx, ds_ctx = _contextnce_terms(g.s, contexts)
         lv, ds_lv = _infonce_square(g.s[:, :n].T, include_positive)
-        spread_vl = _spread_vl_combine(concon, ctx, alpha)
+        if alpha in (0.0, 1.0):  # exact endpoints: the bare component, bit for bit
+            spread_vl = ctx if alpha else concon
+        else:
+            spread_vl = (1.0 - alpha) * concon + alpha * ctx
         value = 0.5 * (spread_vl + lv)
         ds = 0.5 * ((1.0 - alpha) * ds_concon + alpha * ds_ctx)
         ds[:, :n] += 0.5 * ds_lv.T

@@ -280,9 +280,6 @@ class Autoencoder:
                 out[name] = arr
         return out
 
-    def snapshot(self) -> dict:
-        return {k: v.copy() for k, v in self.parameters().items()}
-
     def load_snapshot(self, snap: dict) -> None:
         params = self.parameters()
         if set(snap) != set(params):
@@ -351,10 +348,6 @@ class Autoencoder:
                 f"expected (n, {self.cfg.input_dim}) input, got {x.shape}"
             )
         return x
-
-
-def build_autoencoder(cfg: AutoencoderConfig, rng: RngStream) -> Autoencoder:
-    return Autoencoder(cfg, rng)
 
 
 def cosine_lr(epoch: float, total_epochs: float, lr0: float, lr_min: float) -> float:

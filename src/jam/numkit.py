@@ -104,16 +104,6 @@ class RngStream:
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 
-    def integers(self, low: int, high: int, size=None) -> np.ndarray:
-        return self._gen.integers(low, high, size=size)
-
     def choice(self, n: int, size: int, replace: bool = False) -> np.ndarray:
         return self._gen.choice(n, size=size, replace=replace)
 
-
-def rng_new(seed: int) -> RngStream:
-    return RngStream(seed)
-
-
-def rng_gaussian(stream: RngStream, rows: int, cols: int) -> Matrix:
-    return stream.gaussian(rows, cols)

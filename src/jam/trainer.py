@@ -1,13 +1,13 @@
 """Joint training loop for the paired autoencoders.
 
-One run: shuffle the nested pairs each epoch (seeded), forward both
-autoencoders, combine lambda(t)-weighted reconstruction with the selected
-alignment objective, backprop, clip the global gradient norm at 1.0 and take
-a joint AdamW step under a cosine learning-rate schedule. Binary
-image-to-text Recall@1 on the validation split is computed every
-``validate_every`` epochs; training stops early after ``patience``
-consecutive non-improving validations and always returns the parameters of
-the best recorded validation.
+One run: shuffle the nested pairs each epoch (seeded), then per batch run
+`train_step`, the one joint step (forward both autoencoders, combine
+lambda(t)-weighted reconstruction with the selected alignment objective,
+backprop), clip the global gradient norm at 1.0 and take a joint AdamW step
+under a cosine learning-rate schedule. Binary image-to-text Recall@1 on the
+validation split is computed every ``validate_every`` epochs; training stops
+early after ``patience`` consecutive non-improving validations and always
+returns the parameters of the best recorded validation.
 
 The language autoencoder reconstructs positive and hard-negative texts in
 every objective (hard negatives must be encodable at evaluation time);
@@ -30,7 +30,6 @@ from .nnet import (
     AdamW,
     Autoencoder,
     AutoencoderConfig,
-    build_autoencoder,
     clip_grad_norm,
     cosine_lr,
     load_checkpoint,
@@ -157,22 +156,18 @@ class TrainedJAM:
         return self.sim_cfg.scale(self.log_scale)
 
 
-def _snapshot(vision: Autoencoder, language: Autoencoder, log_scale) -> dict:
-    return {
-        "vision": vision.snapshot(),
-        "language": language.snapshot(),
-        "log_scale": log_scale,
-    }
+def _joint_params(vision: Autoencoder, language: Autoencoder, log_scale_array=None) -> dict:
+    """Every trained parameter by name: ``v.*`` (vision), ``l.*`` (language),
+    then ``logit_scale`` when its one-element array is given. The values are
+    the live arrays, not copies."""
+    params = {f"v.{name}": arr for name, arr in vision.parameters().items()}
+    params.update((f"l.{name}", arr) for name, arr in language.parameters().items())
+    if log_scale_array is not None:
+        params["logit_scale"] = log_scale_array
+    return params
 
 
-def _restore(model: TrainedJAM, snap: dict) -> TrainedJAM:
-    model.vision_ae.load_snapshot(snap["vision"])
-    model.language_ae.load_snapshot(snap["language"])
-    model.log_scale = snap["log_scale"]
-    return model
-
-
-def validate(model: TrainedJAM, ds: PairedDataset, sim_cfg=None) -> float:
+def validate(model: TrainedJAM, ds: PairedDataset) -> float:
     """Binary image-to-text Recall@1 on eval-mode latents."""
     zv = model.encode_vision(ds.images)
     zlp = model.encode_language(ds.positives)
@@ -193,6 +188,51 @@ def evaluate(model: TrainedJAM, ds: PairedDataset, seed: int) -> RetrievalResult
     )
 
 
+def train_step(vision, language, xv, xlp, xln, lam, alpha, log_scale, cfg: TrainConfig, rng):
+    """Objective and gradients of one joint step on one batch.
+
+    Forwards images, positive texts and hard-negative texts in train mode (in
+    that order, drawing dropout from ``rng``), adds the lambda-weighted
+    reconstruction of both autoencoders to the alignment objective and
+    backpropagates through both. Returns (total, grads, parts): ``grads`` is
+    named like `_joint_params` (``v.*``, ``l.*``, then ``logit_scale`` when the
+    scale is learnable), or None, with no backward run, when ``total`` is not
+    finite; ``parts`` is `losses.alignment_grads`' parts plus ``recon_v``,
+    ``recon_l``, ``align`` and ``total``.
+    """
+    zv, xhat_v, tape_v = vision.forward(xv, "train", rng)
+    zlp, xhat_lp, tape_lp = language.forward(xlp, "train", rng)
+    zln, xhat_ln, tape_ln = language.forward(xln, "train", rng)
+
+    recon_v = losses.mse_recon(xv, xhat_v)
+    x_l = np.concatenate([xlp, xln])
+    recon_l = losses.mse_recon(x_l, np.concatenate([xhat_lp, xhat_ln]))
+    align, d_zv, d_zlp, d_zln, d_ls, parts = losses.alignment_grads(
+        cfg.loss_cfg.objective, zv, zlp, zln, alpha=alpha, sim_cfg=cfg.sim_cfg,
+        log_scale=log_scale, include_positive=cfg.loss_cfg.include_positive_in_denominator,
+    )
+    total = lam * (recon_v + recon_l) + align
+    parts.update(recon_v=recon_v, recon_l=recon_l, align=align, total=total)
+    if not math.isfinite(total):
+        return total, None, parts
+
+    d_xhat_v = lam * 2.0 * (xhat_v - xv) / xv.size
+    scale_l = lam * 2.0 / x_l.size
+    d_xhat_lp = scale_l * (xhat_lp - xlp)
+    d_xhat_ln = scale_l * (xhat_ln - xln)
+
+    grads_v, _ = vision.backward(tape_v, d_zv, d_xhat_v)
+    grads_lp, _ = language.backward(tape_lp, d_zlp, d_xhat_lp)
+    grads_ln, _ = language.backward(tape_ln, d_zln, d_xhat_ln)
+
+    grads = {f"v.{k}": g for k, g in grads_v.items()}
+    for k in grads_lp:
+        grads[f"l.{k}"] = grads_lp[k] + grads_ln[k]
+    if cfg.sim_cfg.logit_scale_mode == "learnable":
+        grads["logit_scale"] = np.array([d_ls])
+    return total, grads, parts
+
+
 def train(train_ds: PairedDataset, val_ds: PairedDataset, cfg: TrainConfig, seed: int | None = None):
     """Run one seeded training job; returns (TrainedJAM, TrainHistory).
 
@@ -211,18 +251,12 @@ def train(train_ds: PairedDataset, val_ds: PairedDataset, cfg: TrainConfig, seed
     rng_shuffle = root.fork()
     rng_dropout = root.fork()
 
-    vision = build_autoencoder(cfg.ae_cfg_vision, rng_init_v)
-    language = build_autoencoder(cfg.ae_cfg_language, rng_init_l)
+    vision = Autoencoder(cfg.ae_cfg_vision, rng_init_v)
+    language = Autoencoder(cfg.ae_cfg_language, rng_init_l)
     learnable = cfg.sim_cfg.logit_scale_mode == "learnable"
-
-    params = {}
-    for name, arr in vision.parameters().items():
-        params[f"v.{name}"] = arr
-    for name, arr in language.parameters().items():
-        params[f"l.{name}"] = arr
-    if learnable:
-        params["logit_scale"] = np.array([cfg.sim_cfg.logit_scale_init])
-
+    params = _joint_params(
+        vision, language, np.array([cfg.sim_cfg.logit_scale_init]) if learnable else None
+    )
     opt = AdamW(
         params,
         lr=cfg.lr0,
@@ -233,14 +267,22 @@ def train(train_ds: PairedDataset, val_ds: PairedDataset, cfg: TrainConfig, seed
     def current_log_scale():
         return float(params["logit_scale"][0]) if learnable else None
 
+    def snapshot():
+        return {name: arr.copy() for name, arr in params.items()}
+
+    def restore(snap):
+        for name, arr in params.items():
+            arr[...] = snap[name]
+        model.log_scale = current_log_scale()
+        return model
+
     model = TrainedJAM(vision, language, cfg.sim_cfg, current_log_scale(), cfg.loss_cfg)
     history = TrainHistory(seed=seed)
-    init_snap = _snapshot(vision, language, current_log_scale())
+    init_snap = snapshot()
     best_snap = None
     stopper = EarlyStopping(cfg.patience)
     horizon = max(cfg.epochs - 1, 0)  # last scheduled epoch hits the endpoints
     n = train_ds.n
-    include = cfg.loss_cfg.include_positive_in_denominator
     stop_epoch = 0
     stop_reason = "completed"
 
@@ -257,48 +299,13 @@ def train(train_ds: PairedDataset, val_ds: PairedDataset, cfg: TrainConfig, seed
             idx = perm[start : start + cfg.batch_size]
             if len(idx) < 2:
                 continue  # a 1-row tail cannot form a contrastive denominator
-            xv = train_ds.images[idx]
-            xlp = train_ds.positives[idx]
-            xln = train_ds.negatives[idx]
-
-            zv, xhat_v, tape_v = vision.forward(xv, "train", rng_dropout)
-            zlp, xhat_lp, tape_lp = language.forward(xlp, "train", rng_dropout)
-            zln, xhat_ln, tape_ln = language.forward(xln, "train", rng_dropout)
-
-            recon_v = losses.mse_recon(xv, xhat_v)
-            x_l = np.concatenate([xlp, xln])
-            xhat_l = np.concatenate([xhat_lp, xhat_ln])
-            recon_l = losses.mse_recon(x_l, xhat_l)
-
-            align, d_zv, d_zlp, d_zln, d_ls, _ = losses.alignment_grads(
-                cfg.loss_cfg.objective,
-                zv,
-                zlp,
-                zln,
-                alpha=alpha,
-                sim_cfg=cfg.sim_cfg,
-                log_scale=current_log_scale(),
-                include_positive=include,
+            _, grads, parts = train_step(
+                vision, language, train_ds.images[idx], train_ds.positives[idx],
+                train_ds.negatives[idx], lam, alpha, current_log_scale(), cfg, rng_dropout,
             )
-            total = lam * (recon_v + recon_l) + align
-            if not math.isfinite(total):
+            if grads is None:
                 aborted = True
                 break
-
-            d_xhat_v = lam * 2.0 * (xhat_v - xv) / xv.size
-            scale_l = lam * 2.0 / x_l.size
-            d_xhat_lp = scale_l * (xhat_lp - xlp)
-            d_xhat_ln = scale_l * (xhat_ln - xln)
-
-            grads_v, _ = vision.backward(tape_v, d_zv, d_xhat_v)
-            grads_lp, _ = language.backward(tape_lp, d_zlp, d_xhat_lp)
-            grads_ln, _ = language.backward(tape_ln, d_zln, d_xhat_ln)
-
-            grads = {f"v.{k}": g for k, g in grads_v.items()}
-            for k in grads_lp:
-                grads[f"l.{k}"] = grads_lp[k] + grads_ln[k]
-            if learnable:
-                grads["logit_scale"] = np.array([d_ls])
 
             clip_grad_norm(grads, 1.0)
             opt.step(grads, lr=lr)
@@ -308,16 +315,14 @@ def train(train_ds: PairedDataset, val_ds: PairedDataset, cfg: TrainConfig, seed
                     out=params["logit_scale"],
                 )
 
-            sums["recon_v"] += recon_v
-            sums["recon_l"] += recon_l
-            sums["align"] += align
-            sums["total"] += total
+            for key in sums:
+                sums[key] += parts[key]
             n_batches += 1
 
         if aborted:
             history.stop_epoch = epoch
             history.stop_reason = "aborted_nonfinite"
-            salvage = _restore(model, best_snap if best_snap is not None else init_snap)
+            salvage = restore(best_snap if best_snap is not None else init_snap)
             raise NonFiniteLoss(
                 f"non-finite loss at epoch {epoch}", history=history, model=salvage
             )
@@ -346,7 +351,7 @@ def train(train_ds: PairedDataset, val_ds: PairedDataset, cfg: TrainConfig, seed
             if improved:
                 history.best_score = score
                 history.best_epoch = epoch + 1
-                best_snap = _snapshot(vision, language, current_log_scale())
+                best_snap = snapshot()
             if should_stop:
                 stop_reason = "early_stopped"
                 break
@@ -355,7 +360,7 @@ def train(train_ds: PairedDataset, val_ds: PairedDataset, cfg: TrainConfig, seed
     history.stop_reason = stop_reason
     model.log_scale = current_log_scale()
     if best_snap is not None:
-        _restore(model, best_snap)
+        restore(best_snap)
     return model, history
 
 
@@ -431,13 +436,11 @@ def save_jam(path, model: TrainedJAM, cfg: TrainConfig, seed: int, extra_meta: d
 
     The optimizer state is not written; checkpoints that hold it (``opt.*``
     tensors) still load, since ``load_jam`` reads only the parameters."""
-    tensors = {}
-    for name, arr in model.vision_ae.parameters().items():
-        tensors[f"v.{name}"] = arr
-    for name, arr in model.language_ae.parameters().items():
-        tensors[f"l.{name}"] = arr
-    if model.log_scale is not None:
-        tensors["logit_scale"] = np.array([model.log_scale])
+    tensors = _joint_params(
+        model.vision_ae,
+        model.language_ae,
+        None if model.log_scale is None else np.array([model.log_scale]),
+    )
     meta = {
         "train_config": cfg.to_dict(),
         "seed": int(seed),
@@ -452,14 +455,10 @@ def load_jam(path):
     """Rebuild a TrainedJAM from a checkpoint; returns (model, meta)."""
     tensors, meta = load_checkpoint(path)
     cfg = TrainConfig.from_dict(meta["train_config"])
-    vision = build_autoencoder(cfg.ae_cfg_vision, RngStream(0))
-    language = build_autoencoder(cfg.ae_cfg_language, RngStream(0))
-    vision.load_snapshot(
-        {k[2:]: v for k, v in tensors.items() if k.startswith("v.")}
-    )
-    language.load_snapshot(
-        {k[2:]: v for k, v in tensors.items() if k.startswith("l.")}
-    )
+    vision = Autoencoder(cfg.ae_cfg_vision, RngStream(0))
+    language = Autoencoder(cfg.ae_cfg_language, RngStream(0))
+    for prefix, ae in (("v.", vision), ("l.", language)):
+        ae.load_snapshot({k[2:]: v for k, v in tensors.items() if k.startswith(prefix)})
     log_scale = float(tensors["logit_scale"][0]) if "logit_scale" in tensors else None
     model = TrainedJAM(vision, language, cfg.sim_cfg, log_scale, cfg.loss_cfg)
     return model, meta

@@ -13,19 +13,19 @@ import math
 import numpy as np
 import pytest
 
-from jam import losses
+from jam import evalkit, losses
 from jam.embed_io import SynthConfig, read_embeddings, split_dataset, synth_generate, write_embeddings
 from jam.evalkit import recall_5way, recall_binary
 from jam.losses import LossConfig, SimilarityConfig
 from jam.metrics import cca, cka, cknna, gram, hsic, svcca
 from jam.nnet import (
+    Autoencoder,
     AutoencoderConfig,
     Dense,
     Dropout,
     LayerNorm,
     ResidualMLP,
     SwiGLU,
-    build_autoencoder,
     clip_grad_norm,
     cosine_lr,
     global_grad_norm,
@@ -33,7 +33,7 @@ from jam.nnet import (
 )
 from jam.numkit import RngStream
 from jam.presets import BENCHMARK_SEEDS, benchmark_synth, benchmark_train_config, metric_screen_synth
-from jam.trainer import EarlyStopping, TrainConfig, train, train_on_split
+from jam.trainer import EarlyStopping, TrainConfig, _joint_params, train, train_on_split, train_step
 
 SIM = SimilarityConfig()
 
@@ -77,60 +77,32 @@ def _fd_layer(layer, x, train=False):
 
 
 def _objective_closure(objective, alpha, include_positive=False):
-    """Full pipeline: both autoencoders -> total objective, fixed dropout."""
+    """`train_step`, the code that trains, on two small autoencoders with
+    dropout and a learnable logit scale; every call redraws the same dropout
+    masks. Returns (params, loss_fn, grads) for `grad_check`."""
     r = RngStream(31)
     x_v = r.gaussian(6, 10)
-    x_l = r.gaussian(6, 12)
+    x_lp = r.gaussian(6, 12)
     x_ln = r.gaussian(6, 12)
-    vision = build_autoencoder(AutoencoderConfig(10, [8, 6], 4, dropout=0.1), RngStream(1))
-    language = build_autoencoder(AutoencoderConfig(12, [8, 6], 4, dropout=0.1), RngStream(2))
-    loss_cfg = LossConfig(
-        objective=objective, alpha=alpha, include_positive_in_denominator=include_positive
+    cfg = TrainConfig(
+        ae_cfg_vision=AutoencoderConfig(10, [8, 6], 4, dropout=0.1),
+        ae_cfg_language=AutoencoderConfig(12, [8, 6], 4, dropout=0.1),
+        loss_cfg=LossConfig(
+            objective=objective, alpha=alpha, include_positive_in_denominator=include_positive
+        ),
+        sim_cfg=SIM,
     )
-    ls = SIM.logit_scale_init
+    vision = Autoencoder(cfg.ae_cfg_vision, RngStream(1))
+    language = Autoencoder(cfg.ae_cfg_language, RngStream(2))
+    params = _joint_params(vision, language, np.array([SIM.logit_scale_init]))
+    lam = losses.lambda_schedule(3, 10, cfg.loss_cfg)
 
-    def forward_all():
-        rng = RngStream(777)
-        zv, xhat_v, tv = vision.forward(x_v, "train", rng)
-        zlp, xhat_lp, tlp = language.forward(x_l, "train", rng)
-        zln, xhat_ln, tln = language.forward(x_ln, "train", rng)
-        return zv, xhat_v, tv, zlp, xhat_lp, tlp, zln, xhat_ln, tln
+    def step():
+        log_scale = float(params["logit_scale"][0])
+        return train_step(vision, language, x_v, x_lp, x_ln, lam, alpha, log_scale, cfg, RngStream(777))
 
-    def loss_only():
-        zv, xhat_v, _, zlp, xhat_lp, _, zln, xhat_ln, _ = forward_all()
-        total, _ = losses.total_objective(
-            (zv, zlp, zln),
-            ((x_v, xhat_v), (np.concatenate([x_l, x_ln]), np.concatenate([xhat_lp, xhat_ln]))),
-            epoch=3,
-            total_epochs=10,
-            loss_cfg=loss_cfg,
-            sim_cfg=SIM,
-            log_scale=ls,
-        )
-        return total
-
-    zv, xhat_v, tv, zlp, xhat_lp, tlp, zln, xhat_ln, tln = forward_all()
-    lam = losses.lambda_schedule(3, 10, loss_cfg)
-    align, d_zv, d_zlp, d_zln, _, _ = losses.alignment_grads(
-        objective, zv, zlp, zln, alpha=alpha, sim_cfg=SIM, log_scale=ls,
-        include_positive=include_positive,
-    )
-    d_xhat_v = lam * 2.0 * (xhat_v - x_v) / x_v.size
-    denom = x_l.size + x_ln.size
-    d_xhat_lp = lam * 2.0 * (xhat_lp - x_l) / denom
-    d_xhat_ln = lam * 2.0 * (xhat_ln - x_ln) / denom
-    grads_v, _ = vision.backward(tv, d_zv, d_xhat_v)
-    grads_lp, _ = language.backward(tlp, d_zlp, d_xhat_lp)
-    grads_ln, _ = language.backward(tln, d_zln, d_xhat_ln)
-    params = {}
-    grads = {}
-    for name, arr in vision.parameters().items():
-        params[f"v.{name}"] = arr
-        grads[f"v.{name}"] = grads_v[name]
-    for name, arr in language.parameters().items():
-        params[f"l.{name}"] = arr
-        grads[f"l.{name}"] = grads_lp[name] + grads_ln[name]
-    return params, loss_only, grads
+    _, grads, _ = step()
+    return params, lambda: step()[0], grads
 
 
 class TestCriterion1Gradients:
@@ -158,7 +130,13 @@ class TestCriterion1Gradients:
         params, loss_fn, grads = _objective_closure(objective, alpha)
         err = grad_check(params, loss_fn, grads, h=1e-5, num_samples=200, rng=RngStream(5))
         assert err <= 1e-4
-        report("criterion-1b", f"{objective} alpha={alpha}: fd error {err:.2e} <= 1e-4")
+        scale_params = {"logit_scale": params["logit_scale"]}
+        scale_err = grad_check(scale_params, loss_fn, grads, h=1e-5, num_samples=200, rng=RngStream(5))
+        assert scale_err <= 1e-4
+        report(
+            "criterion-1b",
+            f"{objective} alpha={alpha}: fd error {err:.2e}, logit scale {scale_err:.2e} <= 1e-4",
+        )
 
 
 # -------------------------------------------------------------------------
@@ -235,18 +213,6 @@ class TestCriterion3MetricPattern:
 # different OpenBLAS kernel moves per-seed recall by up to 0.06.
 SIGN_TEST_LEVEL = 0.05
 SPREAD_FLOOR = 0.85
-
-
-def _binary_hits(model, ds):
-    """Per-query outcomes behind `recall_binary`: positive strictly beats hard negative."""
-
-    def unit(z):
-        return z / np.maximum(np.linalg.norm(z, axis=1, keepdims=True), 1e-30)
-
-    uv = unit(model.encode_vision(ds.images))
-    sp = np.sum(uv * unit(model.encode_language(ds.positives)), axis=1)
-    sn = np.sum(uv * unit(model.encode_language(ds.negatives)), axis=1)
-    return sp > sn
 
 
 def _sign_test_p(wins, rivals):
@@ -334,7 +300,11 @@ class TestCriterion4LossOrdering:
             for seed in BENCHMARK_SEEDS:
                 ds, _, _ = synth_generate(benchmark_synth(seed))
                 model, history, result, (_, _, test_ds) = train_on_split(ds, cfg, seed)
-                seed_hits = _binary_hits(model, test_ds)
+                seed_hits = evalkit.binary_hits(
+                    model.encode_vision(test_ds.images),
+                    model.encode_language(test_ds.positives),
+                    model.encode_language(test_ds.negatives),
+                )
                 assert float(np.mean(seed_hits)) == result.recall_binary, (objective, seed)
                 per_seed.append(seed_hits)
                 rows.append(

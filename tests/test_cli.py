@@ -245,15 +245,3 @@ class TestSweepCommand:
         assert alphas == [0.0, 0.5, 1.0]
         assert report["report"]["best_alpha"] in alphas
 
-
-class TestJamThreads:
-    def test_invalid_thread_env_exits_2(self, synth_dir, tmp_path, monkeypatch):
-        monkeypatch.setenv("JAM_THREADS", "banana")
-        assert run_cli(["synth", "--n", 20, "--out-dir", tmp_path / "s"]) == 2
-
-    def test_thread_env_echoed(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("JAM_THREADS", "4")
-        out = tmp_path / "s"
-        assert run_cli(["synth", "--n", 20, "--out-dir", out]) == 0
-        run = json.loads((out / "run.json").read_text())
-        assert run["config"]["jam_threads"] == 4

@@ -5,6 +5,7 @@ from jam.errors import InvalidInput
 from jam.evalkit import (
     RetrievalResult,
     aggregate_seeds,
+    binary_hits,
     recall_5way,
     recall_binary,
     sample_distractors,
@@ -43,6 +44,15 @@ class TestRecallBinary:
         r = RngStream(7)
         zv, zlp, zln = r.gaussian(300, 8), r.gaussian(300, 8), r.gaussian(300, 8)
         assert recall_binary(zv, zlp, zln) + recall_binary(zv, zln, zlp) == 1.0
+
+    def test_hits_are_per_query_outcomes(self):
+        r = RngStream(8)
+        zv, zlp, zln = r.gaussian(40, 6), r.gaussian(40, 6), r.gaussian(40, 6)
+        hits = binary_hits(zv, zlp, zln)
+        expected = np.sum(unit(zv) * unit(zlp), axis=1) > np.sum(unit(zv) * unit(zln), axis=1)
+        np.testing.assert_array_equal(hits, expected)
+        assert recall_binary(zv, zlp, zln) == float(np.mean(hits))
+        assert not binary_hits(zv, zlp, zlp.copy()).any()  # ties never count
 
 
 class TestRecall5Way:

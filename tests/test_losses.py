@@ -23,9 +23,10 @@ from jam.losses import (
     loss_spread_vl,
     loss_vl_con,
     mse_recon,
-    total_objective,
 )
+from jam.nnet import Autoencoder, AutoencoderConfig
 from jam.numkit import RngStream
+from jam.trainer import TrainConfig, train_step
 
 SIM = SimilarityConfig()
 FIXED = SimilarityConfig(logit_scale_mode="fixed")
@@ -252,6 +253,13 @@ class TestSpread:
         with pytest.raises(InvalidInput):
             loss_spread(zv, zlp, zln, 1.5, SIM)
 
+    @pytest.mark.parametrize("objective", ["con", "negcon", "spread"])
+    def test_alignment_grads_rejects_alpha_out_of_range(self, objective):
+        zv, zlp, zln = batch(16)
+        for alpha in (-0.1, float("nan")):
+            with pytest.raises(InvalidInput):
+                alignment_grads(objective, zv, zlp, zln, alpha, SIM)
+
 
 class TestMse:
     def test_zero_at_equal(self):
@@ -291,42 +299,63 @@ class TestSchedules:
         with pytest.raises(ConfigError):
             alpha_schedule("nonsense", 0, 10)
 
+    @pytest.mark.parametrize("spec", [("nonsense",), ("linear", "a", 1.0), ("fixed", None), ("sweep", [0.5])])
+    def test_config_rejects_malformed_schedule(self, spec):
+        with pytest.raises(ConfigError):
+            LossConfig(alpha_schedule=spec)
+
+    @pytest.mark.parametrize("spec", [("linear", 0.0, 2.0), ("linear", -0.5, 1.0), ("fixed", 1.5)])
+    def test_config_rejects_schedule_outside_unit_interval(self, spec):
+        with pytest.raises(InvalidInput):
+            LossConfig(alpha_schedule=spec)
+
+    def test_config_accepts_schedule_in_unit_interval(self):
+        assert LossConfig(alpha_schedule=("linear", 1.0, 0.0)).alpha_schedule == ("linear", 1.0, 0.0)
+
+
+def step_problem(objective="spread", alpha=0.5, seed=19):
+    """Two tiny dropout-0 autoencoders and one batch, for `train_step`."""
+    cfg = TrainConfig(
+        ae_cfg_vision=AutoencoderConfig(5, [4], 3, dropout=0.0),
+        ae_cfg_language=AutoencoderConfig(7, [4], 3, dropout=0.0),
+        loss_cfg=LossConfig(objective=objective, alpha=alpha),
+    )
+    vision = Autoencoder(cfg.ae_cfg_vision, RngStream(seed))
+    language = Autoencoder(cfg.ae_cfg_language, RngStream(seed + 1))
+    r = RngStream(seed + 2)
+    return cfg, vision, language, r.gaussian(6, 5), r.gaussian(6, 7), r.gaussian(6, 7)
+
 
 class TestTotalObjective:
+    """The total objective as `trainer.train_step`, the code that trains, assembles it."""
+
     def test_lambda_zero_pure_alignment(self):
-        zv, zlp, zln = batch(19)
-        x = RngStream(20).gaussian(6, 5)
-        cfg = LossConfig(objective="spread", lambda_start=0.0, lambda_end=0.0)
-        total, parts = total_objective(
-            (zv, zlp, zln), ((x, x + 1), (x, x + 2)), 0, 10, cfg, SIM
-        )
+        cfg, vision, language, xv, xlp, xln = step_problem(seed=19)
+        total, _, parts = train_step(vision, language, xv, xlp, xln, 0.0, 0.5, None, cfg, RngStream(0))
         assert abs(total - parts["align"]) < 1e-12
 
     def test_breakdown_composition(self):
-        zv, zlp, zln = batch(21)
-        r = RngStream(22)
-        xv, xl = r.gaussian(6, 5), r.gaussian(6, 7)
-        xhat_v, xhat_l = xv + 0.1, xl - 0.2
-        cfg = LossConfig(objective="spread", alpha=0.5)
-        total, parts = total_objective(
-            (zv, zlp, zln), ((xv, xhat_v), (xl, xhat_l)), 3, 10, cfg, SIM
-        )
-        lam = lambda_schedule(3, 10, cfg)
-        expected = lam * (mse_recon(xv, xhat_v) + mse_recon(xl, xhat_l)) + loss_spread(
-            zv, zlp, zln, 0.5, SIM
-        )
-        assert abs(total - expected) < 1e-12
-        assert set(parts) == {"recon_v", "recon_l", "align", "lambda", "alpha", "logit_scale", "total"}
+        cfg, vision, language, xv, xlp, xln = step_problem(seed=21)
+        lam = lambda_schedule(3, 10, cfg.loss_cfg)
+        total, _, parts = train_step(vision, language, xv, xlp, xln, lam, 0.5, None, cfg, RngStream(0))
+        assert abs(total - (lam * (parts["recon_v"] + parts["recon_l"]) + parts["align"])) < 1e-12
+        # with dropout 0 the train-mode forward is the eval-mode forward
+        xhat_v = vision.forward(xv, "eval")[1]
+        xhat_l = np.concatenate([language.forward(xlp, "eval")[1], language.forward(xln, "eval")[1]])
+        assert parts["recon_v"] == mse_recon(xv, xhat_v)
+        assert parts["recon_l"] == mse_recon(np.concatenate([xlp, xln]), xhat_l)
+        assert set(parts) == {
+            "concon", "contextnce", "spread_vl", "lv", "recon_v", "recon_l", "align", "total",
+        }
 
     def test_all_objectives_run(self):
-        zv, zlp, zln = batch(23)
-        x = RngStream(24).gaussian(6, 5)
         for objective in ("con", "negcon", "spread"):
-            cfg = LossConfig(objective=objective)
-            total, parts = total_objective(
-                (zv, zlp, zln), ((x, x + 0.1), (x, x - 0.1)), 0, 10, cfg, SIM
+            cfg, vision, language, xv, xlp, xln = step_problem(objective, seed=23)
+            total, grads, _ = train_step(
+                vision, language, xv, xlp, xln, 1.0, 0.5, None, cfg, RngStream(0)
             )
             assert math.isfinite(total)
+            assert list(grads)[-1] == "logit_scale"
 
 
 class TestGradients:

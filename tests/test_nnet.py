@@ -9,13 +9,13 @@ from jam import losses, nnet, presets
 from jam.errors import InvalidInput, NonFiniteGradient, UsageError
 from jam.nnet import (
     AdamW,
+    Autoencoder,
     AutoencoderConfig,
     Dense,
     Dropout,
     LayerNorm,
     ResidualMLP,
     SwiGLU,
-    build_autoencoder,
     clip_grad_norm,
     cosine_lr,
     global_grad_norm,
@@ -111,7 +111,7 @@ class TestLayers:
 class TestAutoencoder:
     def test_shapes_default_funnel(self):
         cfg = AutoencoderConfig(768, [512, 512, 512], 256)
-        ae = build_autoencoder(cfg, RngStream(1))
+        ae = Autoencoder(cfg, RngStream(1))
         params = ae.parameters()
         assert params["enc0.dense.w"].shape == (768, 512)
         assert params["enc1.dense.w"].shape == (512, 512)
@@ -126,7 +126,7 @@ class TestAutoencoder:
     def test_parameter_count_by_hand(self):
         # cfg(4, [2], 2): stage = dense(4->2) + ln(2) + swiglu(2->2) + res(2)
         cfg = AutoencoderConfig(4, [2], 2, dropout=0.0)
-        ae = build_autoencoder(cfg, RngStream(1))
+        ae = Autoencoder(cfg, RngStream(1))
         dense = 4 * 2 + 2
         ln = 2 + 2
         glu = 2 * (2 * 2 + 2)
@@ -141,13 +141,13 @@ class TestAutoencoder:
 
     def test_same_seed_same_init(self):
         cfg = AutoencoderConfig(6, [4], 3)
-        a = build_autoencoder(cfg, RngStream(5))
-        b = build_autoencoder(cfg, RngStream(5))
+        a = Autoencoder(cfg, RngStream(5))
+        b = Autoencoder(cfg, RngStream(5))
         for k, v in a.parameters().items():
             np.testing.assert_array_equal(v, b.parameters()[k])
 
     def test_eval_deterministic(self):
-        ae = build_autoencoder(AutoencoderConfig(6, [4], 3, dropout=0.2), RngStream(1))
+        ae = Autoencoder(AutoencoderConfig(6, [4], 3, dropout=0.2), RngStream(1))
         x = RngStream(2).gaussian(4, 6)
         z1, x1, _ = ae.forward(x, "eval")
         z2, x2, _ = ae.forward(x, "eval")
@@ -157,7 +157,7 @@ class TestAutoencoder:
     @pytest.mark.parametrize("which", ["ae_cfg_vision", "ae_cfg_language"])
     def test_encode_runs_only_the_encoder(self, which, monkeypatch):
         cfg = getattr(presets.benchmark_train_config("spread"), which)
-        ae = build_autoencoder(cfg, RngStream(11))
+        ae = Autoencoder(cfg, RngStream(11))
         x = RngStream(12).gaussian(40, cfg.input_dim)
         z_forward = ae.forward(x, "eval")[0]
 
@@ -173,7 +173,7 @@ class TestAutoencoder:
 
     def test_encode_runs_in_blocks_and_matches_forward(self, monkeypatch):
         cfg = presets.benchmark_train_config("spread").ae_cfg_language
-        ae = build_autoencoder(cfg, RngStream(13))
+        ae = Autoencoder(cfg, RngStream(13))
         x = RngStream(14).gaussian(2500, cfg.input_dim)
         z_forward = ae.forward(x, "eval")[0]
         first = ae.enc_layers[0]
@@ -191,11 +191,11 @@ class TestAutoencoder:
 
     def test_encode_empty_input(self):
         cfg = AutoencoderConfig(6, [4], 3)
-        z = build_autoencoder(cfg, RngStream(1)).encode(np.zeros((0, 6)))
+        z = Autoencoder(cfg, RngStream(1)).encode(np.zeros((0, 6)))
         assert z.shape == (0, 3)
 
     def test_train_no_dropout_equals_eval(self):
-        ae = build_autoencoder(AutoencoderConfig(6, [4], 3, dropout=0.0), RngStream(1))
+        ae = Autoencoder(AutoencoderConfig(6, [4], 3, dropout=0.0), RngStream(1))
         x = RngStream(2).gaussian(4, 6)
         zt, xt, _ = ae.forward(x, "train", RngStream(3))
         ze, xe, _ = ae.forward(x, "eval")
@@ -204,7 +204,7 @@ class TestAutoencoder:
 
     def test_linear_only_degenerate_config(self):
         # empty hidden list collapses the encoder to the bottleneck linear map
-        ae = build_autoencoder(AutoencoderConfig(5, [], 3, dropout=0.0), RngStream(4))
+        ae = Autoencoder(AutoencoderConfig(5, [], 3, dropout=0.0), RngStream(4))
         x = RngStream(5).gaussian(6, 5)
         z, _, _ = ae.forward(x)
         w = ae.parameters()["enc.latent.w"]
@@ -212,19 +212,19 @@ class TestAutoencoder:
         np.testing.assert_allclose(z, x @ w + b, atol=1e-12)
 
     def test_shape_mismatch(self):
-        ae = build_autoencoder(AutoencoderConfig(5, [4], 3), RngStream(1))
+        ae = Autoencoder(AutoencoderConfig(5, [4], 3), RngStream(1))
         with pytest.raises(InvalidInput):
             ae.forward(np.zeros((2, 7)))
 
     def test_tape_reuse_rejected(self):
-        ae = build_autoencoder(AutoencoderConfig(5, [4], 3, dropout=0.0), RngStream(1))
+        ae = Autoencoder(AutoencoderConfig(5, [4], 3, dropout=0.0), RngStream(1))
         z, xhat, tape = ae.forward(RngStream(2).gaussian(3, 5))
         ae.backward(tape, np.zeros_like(z), np.zeros_like(xhat))
         with pytest.raises(UsageError):
             ae.backward(tape, np.zeros_like(z), np.zeros_like(xhat))
 
     def test_zero_upstream_zero_grads(self):
-        ae = build_autoencoder(AutoencoderConfig(5, [4], 3, dropout=0.0), RngStream(1))
+        ae = Autoencoder(AutoencoderConfig(5, [4], 3, dropout=0.0), RngStream(1))
         z, xhat, tape = ae.forward(RngStream(2).gaussian(3, 5))
         grads, dx = ae.backward(tape, np.zeros_like(z), np.zeros_like(xhat))
         assert all(np.all(g == 0) for g in grads.values())
@@ -232,7 +232,7 @@ class TestAutoencoder:
 
     def test_full_model_gradients(self):
         cfg = AutoencoderConfig(7, [6, 5], 4, dropout=0.1)
-        ae = build_autoencoder(cfg, RngStream(3))
+        ae = Autoencoder(cfg, RngStream(3))
         x = RngStream(4).gaussian(5, 7)
         target = RngStream(5).gaussian(5, 4)
 
@@ -247,7 +247,7 @@ class TestAutoencoder:
 
     def test_grad_check_detects_corruption(self):
         cfg = AutoencoderConfig(6, [4], 3, dropout=0.0)
-        ae = build_autoencoder(cfg, RngStream(6))
+        ae = Autoencoder(cfg, RngStream(6))
         x = RngStream(7).gaussian(4, 6)
 
         def loss_only():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jam.errors import InvalidInput
-from jam.numkit import RngStream, center_columns, rng_gaussian, rng_new, svd, sym_eig
+from jam.numkit import RngStream, center_columns, svd, sym_eig
 
 
 class TestSvd:
@@ -118,17 +118,17 @@ class TestCenterColumns:
 
 class TestRngStream:
     def test_same_seed_same_matrix(self):
-        a = rng_gaussian(rng_new(5), 6, 4)
-        b = rng_gaussian(rng_new(5), 6, 4)
+        a = RngStream(5).gaussian(6, 4)
+        b = RngStream(5).gaussian(6, 4)
         np.testing.assert_array_equal(a, b)
 
     def test_different_seeds_differ(self):
-        a = rng_gaussian(rng_new(5), 6, 4)
-        b = rng_gaussian(rng_new(42), 6, 4)
+        a = RngStream(5).gaussian(6, 4)
+        b = RngStream(42).gaussian(6, 4)
         assert not np.array_equal(a, b)
 
     def test_large_sample_mean(self):
-        draws = rng_new(0).gaussian(100_000, 1)
+        draws = RngStream(0).gaussian(100_000, 1)
         assert abs(draws.mean()) < 0.02
         assert abs(draws.var() - 1.0) < 0.02
 

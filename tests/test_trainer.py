@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from jam.embed_io import SynthConfig, split_dataset, synth_generate
 from jam.errors import InvalidInput, NonFiniteLoss
 from jam.losses import LossConfig, SimilarityConfig
-from jam.nnet import AutoencoderConfig, load_checkpoint, save_checkpoint
+from jam.nnet import Autoencoder, AutoencoderConfig, load_checkpoint, save_checkpoint
+from jam.numkit import RngStream
 from jam.trainer import (
     EarlyStopping,
     TrainConfig,
@@ -15,6 +17,7 @@ from jam.trainer import (
     save_jam,
     sweep_alpha,
     train,
+    train_step,
     validate,
 )
 
@@ -131,6 +134,26 @@ class TestTrain:
         assert err.model is not None
         z = err.model.encode_vision(tr.images[:2])
         assert np.all(np.isfinite(z))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+    def test_nonfinite_step_runs_no_backward(self, tiny_data, monkeypatch):
+        tr, _, _ = tiny_data
+        cfg = tiny_cfg()
+        vision = Autoencoder(cfg.ae_cfg_vision, RngStream(1))
+        language = Autoencoder(cfg.ae_cfg_language, RngStream(2))
+        language.parameters()["dec.out.b"][:] = 1e300  # reconstruction error overflows
+
+        def no_backward(*args, **kwargs):
+            raise AssertionError("backward ran on a non-finite total")
+
+        monkeypatch.setattr(Autoencoder, "backward", no_backward)
+        total, grads, parts = train_step(
+            vision, language, tr.images[:8], tr.positives[:8], tr.negatives[:8],
+            1.0, 0.5, None, cfg, RngStream(3),
+        )
+        assert grads is None
+        assert not math.isfinite(total)
+        assert parts["total"] == total and math.isfinite(parts["align"])
 
     def test_fixed_logit_scale_mode(self, tiny_data):
         tr, va, _ = tiny_data
