@@ -31,18 +31,18 @@ computed on first use: one SVD of the centered features (the top-r PCA
 projection and the SVCCA truncation are both read off it), the RBF
 kernel-PCA scores and the kNN index sets. No record holds an n x n array,
 and the image side is derived once per report, not once per setting. The
-dominant cost is one n x n RBF kernel-PCA eigensolve per distinct view,
-O(n^3) each: four for a three-setting report. Beside them, linear CKA
-costs O(n d^2), CKNNA O(n k d) after one n x n similarity pass per view for
-its kNN sets, and CCA and SVCCA work on n x r blocks.
+dominant cost is one top-r eigensolve of an n x n RBF kernel per distinct
+view: four for a three-setting report. Beside them, linear CKA costs
+O(n d^2), CKNNA O(n k d) after one n x n similarity pass per view for its
+kNN sets, and CCA and SVCCA work on n x r blocks.
 
-Kernel PCA computes only the top r eigenpairs, with LAPACK's exact ``syevr``
-(MRRR, Dhillon & Parlett, 2004) over an index range: a tridiagonal
-reduction of the whole kernel, then r eigenvectors instead of n. It is not
-iterative, so it is as accurate as a full ``eigh``. An iterative top-r
-solver is not: the centered RBF spectrum of the n=2000 metric screen is
-flat around r=50 (lambda_50 / lambda_51 ~ 1.002), and randomized subspace
-iteration with 8 power steps was still 2.7% off in the eigenvalues there.
+Kernel PCA computes only the top r eigenpairs (see ``numkit.sym_eig``): by
+ARPACK's Lanczos (Lehoucq, Sorensen & Yang, 1998) from n >= 20 r, O(n^2)
+per product instead of an O(n^3) tridiagonal reduction, else by LAPACK's
+exact ``syevr``. The centered RBF spectrum of the n=2000 metric screen is
+flat around r=50 (lambda_50 / lambda_51 ~ 1.002); Lanczos still matches
+``syevr`` to 5e-15 in the eigenvalues, while randomized subspace iteration
+with 8 power steps was 2.7% off there.
 """
 
 from __future__ import annotations
@@ -53,17 +53,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateInput, InvalidInput
-from .numkit import Matrix, as_matrix, center_columns, svd, sym_eig
+from .numkit import Matrix, as_matrix, center_columns, check_symmetric, svd, sym_eig
 
 KERNEL_KINDS = ("linear", "rbf")
 
 # Most elements CKNNA gathers at once, so its memory stays bounded for any k.
 _GATHER_ELEMENTS = 1 << 20
-
-
-def median_heuristic_gamma(x: Matrix) -> float:
-    """1 / (2 * median pairwise squared distance); fallback 1.0 if degenerate."""
-    return _median_gamma(_pairwise_sqdist(as_matrix(x)))
 
 
 def _median_gamma(sq: Matrix) -> float:
@@ -104,12 +99,7 @@ def _check_symmetric(k: Matrix, tol: float = 1e-10) -> Matrix:
     m = as_matrix(k, "kernel")
     if m.shape[0] != m.shape[1]:
         raise InvalidInput(f"kernel must be square, got {m.shape}")
-    if m.size:
-        scale = max(1.0, float(m.max()), -float(m.min()))
-        asym = m - m.T
-        np.abs(asym, out=asym)
-        if float(asym.max()) > tol * scale:
-            raise InvalidInput("kernel is asymmetric beyond tolerance")
+    check_symmetric(m, "kernel", tol)
     return m
 
 
@@ -186,13 +176,6 @@ def _knn_indices(sim: Matrix, k: int) -> np.ndarray:
     return np.nonzero(chosen)[1].reshape(n, k)
 
 
-def _knn_mask(idx: np.ndarray) -> Matrix:
-    n = idx.shape[0]
-    mask = np.zeros((n, n), dtype=bool)
-    np.put_along_axis(mask, idx, True, axis=1)
-    return mask
-
-
 def _similarity_features(x: Matrix, similarity: str) -> Matrix:
     if similarity == "cosine":
         return x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1e-30)
@@ -207,16 +190,6 @@ def _paired_views(v: Matrix, lm: Matrix) -> tuple[_View, _View]:
     if lmm.shape[0] != vm.shape[0]:
         raise InvalidInput("views must have the same number of rows")
     return _View(vm), _View(lmm)
-
-
-def mutual_knn_mask(v: Matrix, lm: Matrix, k: int, similarity: str = "inner") -> Matrix:
-    """mask(i, j) = 1 iff j in kNN(v_i) and j in kNN(l_i) and i != j.
-
-    Neighbors ranked by kernel similarity: raw inner products by default,
-    cosine when ``similarity="cosine"``.
-    """
-    vv, lv = _paired_views(v, lm)
-    return _knn_mask(vv.knn(k, similarity)) & _knn_mask(lv.knn(k, similarity))
 
 
 def _neighbor_dots(xc: Matrix, idx: np.ndarray) -> Matrix:

@@ -16,7 +16,6 @@ from jam.metrics import (
     gram,
     hsic,
     kpca_reduce,
-    mutual_knn_mask,
     pca_reduce,
     svcca,
 )
@@ -143,6 +142,20 @@ class TestCka:
         x, y = r.gaussian(8, 3), r.gaussian(8, 4)
         value = cka(x, y)
         assert -1e-12 <= value <= 1.0 + 1e-9
+
+
+def _knn_mask(idx):
+    n = idx.shape[0]
+    mask = np.zeros((n, n), dtype=bool)
+    np.put_along_axis(mask, idx, True, axis=1)
+    return mask
+
+
+def mutual_knn_mask(v, l, k):
+    """mask(i, j) = 1 iff j in kNN(v_i) and j in kNN(l_i) and i != j, read
+    off the inner-product kNN index sets that CKNNA uses."""
+    vv, lv = metrics._paired_views(v, l)
+    return _knn_mask(vv.knn(k, "inner")) & _knn_mask(lv.knn(k, "inner"))
 
 
 def knn_mask_oracle(v, l, k):
@@ -317,6 +330,25 @@ class TestKpca:
         x = np.repeat(RngStream(22).gaussian(4, 3), 5, axis=0)
         with pytest.raises(DegenerateInput):
             kpca_reduce(x, 5)
+
+
+class TestKpcaLanczos:
+    """n >= 20 r: kernel PCA's eigensolve runs ARPACK's Lanczos."""
+
+    def test_matches_syevr_scores_and_repeats_bitwise(self, eigsh_calls, fail_eigsh):
+        x, r = RngStream(23).gaussian(1200, 8), 50
+        scores = kpca_reduce(x, r)
+        assert eigsh_calls == [r]
+        np.testing.assert_array_equal(kpca_reduce(x, r), scores)
+        fail_eigsh()  # the fallback: syevr
+        np.testing.assert_allclose(scores, kpca_reduce(x, r), rtol=0, atol=1e-9)
+
+    def test_rank_deficient_kernel_raises(self, eigsh_calls):
+        # forty distinct points, each 30 times: the centered kernel has rank 39
+        x = np.repeat(RngStream(22).gaussian(40, 3), 30, axis=0)
+        with pytest.raises(DegenerateInput):
+            kpca_reduce(x, 50)
+        assert eigsh_calls == [50]
 
 
 class TestCca:

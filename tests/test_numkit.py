@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -79,7 +80,8 @@ class TestSymEig:
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_input_unchanged(self, order):
-        g = RngStream(19).gaussian(30, 30)
+        # top=3 of 60 takes the Lanczos path, the full solve syevr
+        g = RngStream(19).gaussian(60, 60)
         s = np.array((g + g.T) / 2, order=order)
         before = s.copy()
         sym_eig(s)
@@ -90,6 +92,63 @@ class TestSymEig:
     def test_top_out_of_range_rejected(self, top):
         with pytest.raises(InvalidInput):
             sym_eig(np.eye(2), top=top)
+
+
+def centered_rbf_kernel(n, d, seed):
+    x = RngStream(seed).gaussian(n, d)
+    sq = np.sum(x * x, axis=1)
+    k = np.exp(-(sq[:, None] + sq[None, :] - 2.0 * x @ x.T) / (2.0 * d))
+    k -= k.mean(axis=0)
+    k -= k.mean(axis=1, keepdims=True)
+    return (k + k.T) / 2.0
+
+
+def syevr_top(s, top):
+    n = s.shape[0]
+    w, v = scipy.linalg.eigh(s, subset_by_index=[n - top, n - 1], driver="evr")
+    return w[::-1], v[:, ::-1]
+
+
+class TestSymEigLanczos:
+    """n >= 20 * top: the top pairs come from ARPACK's Lanczos, else syevr."""
+
+    N, TOP = 1200, 50
+
+    @pytest.fixture(scope="class")
+    def kernel(self):
+        return centered_rbf_kernel(self.N, 8, 23)
+
+    def test_matches_syevr(self, kernel, eigsh_calls):
+        w, v = sym_eig(kernel, top=self.TOP)
+        assert eigsh_calls == [self.TOP]
+        w_ref, v_ref = syevr_top(kernel, self.TOP)
+        assert w.shape == (self.TOP,) and v.shape == (self.N, self.TOP)
+        assert np.all(np.diff(w) <= 0)
+        assert np.max(np.abs(w - w_ref) / np.abs(w_ref)) <= 1e-10
+        signs = np.sign(np.sum(v * v_ref, axis=0))
+        np.testing.assert_allclose(v * signs, v_ref, rtol=0, atol=1e-9)
+        assert np.abs(v.T @ v - np.eye(self.TOP)).max() <= 1e-12
+
+    def test_bit_identical_across_calls(self, kernel):
+        w1, v1 = sym_eig(kernel, top=self.TOP)
+        w2, v2 = sym_eig(kernel, top=self.TOP)
+        np.testing.assert_array_equal(w1, w2)
+        np.testing.assert_array_equal(v1, v2)
+
+    def test_syevr_below_crossover(self, kernel, eigsh_calls):
+        top = self.N // 20 + 1
+        w, v = sym_eig(kernel, top=top)
+        assert eigsh_calls == []
+        w_ref, v_ref = syevr_top(kernel, top)
+        np.testing.assert_array_equal(w, w_ref)
+        np.testing.assert_array_equal(v, v_ref)
+
+    def test_no_convergence_falls_back_to_syevr(self, kernel, fail_eigsh):
+        fail_eigsh()
+        w, v = sym_eig(kernel, top=self.TOP)
+        w_ref, v_ref = syevr_top(kernel, self.TOP)
+        np.testing.assert_array_equal(w, w_ref)
+        np.testing.assert_array_equal(v, v_ref)
 
 
 class TestCenterColumns:
