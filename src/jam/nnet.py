@@ -5,11 +5,15 @@ fixed topology: a funnel encoder (dense -> LayerNorm -> SwiGLU -> dropout ->
 residual MLP per stage, then a linear bottleneck) and a mirrored decoder that
 walks the hidden widths in reverse and ends in a linear projection back to
 the input width. A forward pass records a one-shot :class:`Tape`; backward
-consumes it and returns named parameter gradients plus the input gradient.
+consumes it and returns named parameter gradients plus the input gradient,
+written into caller-given arrays when it is handed them.
 
-The optimizer is AdamW with decoupled weight decay, paired with a cosine
-learning-rate schedule and global-norm gradient clipping. ``grad_check``
-validates any loss closure against central finite differences.
+Parameters can be packed into one contiguous vector (:class:`FlatParams`)
+that the layers then hold views into. The optimizer is AdamW with decoupled
+weight decay over that vector, paired with a cosine learning-rate schedule
+and global-norm gradient clipping of a gradient vector of the same layout.
+``grad_check`` validates any loss closure against central finite
+differences.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -57,43 +61,44 @@ def _silu_grad(a, sig):
     return sig * (1.0 + a * (1.0 - sig))
 
 
-def _accum(grads: dict, name: str, value) -> None:
-    if name in grads:
-        grads[name] = grads[name] + value
-    else:
-        grads[name] = value
+class _Layer:
+    """Trained arrays are the attributes in ``PARAMS``, named ``<layer>.<attr>``;
+    `backward` writes each one's gradient into ``grads[name]`` if present."""
+
+    PARAMS = ()
+
+    def param_items(self):
+        for attr in self.PARAMS:
+            yield f"{self.name}.{attr}", getattr(self, attr)
 
 
-class Dense:
+class Dense(_Layer):
+    PARAMS = ("w", "b")
+
     def __init__(self, name: str, d_in: int, d_out: int, rng: RngStream):
         self.name = name
         self.w = _glorot(rng, d_in, d_out)
         self.b = np.zeros(d_out)
-
-    def param_items(self):
-        yield f"{self.name}.w", self.w
-        yield f"{self.name}.b", self.b
 
     def forward(self, x, train, rng):
         return x @ self.w + self.b, x
 
     def backward(self, dy, cache, grads):
         x = cache
-        _accum(grads, f"{self.name}.w", x.T @ dy)
-        _accum(grads, f"{self.name}.b", dy.sum(axis=0))
+        w, b = f"{self.name}.w", f"{self.name}.b"
+        grads[w] = np.matmul(x.T, dy, out=grads.get(w))
+        grads[b] = np.sum(dy, axis=0, out=grads.get(b))
         return dy @ self.w.T
 
 
-class LayerNorm:
+class LayerNorm(_Layer):
+    PARAMS = ("g", "b")
+
     def __init__(self, name: str, dim: int, eps: float = 1e-5):
         self.name = name
         self.g = np.ones(dim)
         self.b = np.zeros(dim)
         self.eps = eps
-
-    def param_items(self):
-        yield f"{self.name}.g", self.g
-        yield f"{self.name}.b", self.b
 
     def forward(self, x, train, rng):
         mu = x.mean(axis=1, keepdims=True)
@@ -105,16 +110,19 @@ class LayerNorm:
 
     def backward(self, dy, cache, grads):
         xhat, s = cache
-        _accum(grads, f"{self.name}.g", (dy * xhat).sum(axis=0))
-        _accum(grads, f"{self.name}.b", dy.sum(axis=0))
+        g, b = f"{self.name}.g", f"{self.name}.b"
+        grads[g] = np.sum(dy * xhat, axis=0, out=grads.get(g))
+        grads[b] = np.sum(dy, axis=0, out=grads.get(b))
         dxhat = dy * self.g
         m1 = dxhat.mean(axis=1, keepdims=True)
         m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
         return (dxhat - m1 - xhat * m2) / s
 
 
-class SwiGLU:
+class SwiGLU(_Layer):
     """out = SiLU(x Wg + bg) * (x Wv + bv)."""
+
+    PARAMS = ("wg", "bg", "wv", "bv")
 
     def __init__(self, name: str, d_in: int, d_out: int, rng: RngStream):
         self.name = name
@@ -122,12 +130,6 @@ class SwiGLU:
         self.bg = np.zeros(d_out)
         self.wv = _glorot(rng, d_in, d_out)
         self.bv = np.zeros(d_out)
-
-    def param_items(self):
-        yield f"{self.name}.wg", self.wg
-        yield f"{self.name}.bg", self.bg
-        yield f"{self.name}.wv", self.wv
-        yield f"{self.name}.bv", self.bv
 
     def forward(self, x, train, rng):
         a = x @ self.wg + self.bg
@@ -139,22 +141,20 @@ class SwiGLU:
         x, a, u, h, sig = cache
         da = dy * u * _silu_grad(a, sig)
         du = dy * h
-        _accum(grads, f"{self.name}.wg", x.T @ da)
-        _accum(grads, f"{self.name}.bg", da.sum(axis=0))
-        _accum(grads, f"{self.name}.wv", x.T @ du)
-        _accum(grads, f"{self.name}.bv", du.sum(axis=0))
+        wg, bg, wv, bv = (f"{self.name}.{attr}" for attr in self.PARAMS)
+        grads[wg] = np.matmul(x.T, da, out=grads.get(wg))
+        grads[bg] = np.sum(da, axis=0, out=grads.get(bg))
+        grads[wv] = np.matmul(x.T, du, out=grads.get(wv))
+        grads[bv] = np.sum(du, axis=0, out=grads.get(bv))
         return da @ self.wg.T + du @ self.wv.T
 
 
-class Dropout:
+class Dropout(_Layer):
     """Inverted dropout: train-time scaling by 1/(1-p), eval is identity."""
 
     def __init__(self, name: str, p: float):
         self.name = name
         self.p = p
-
-    def param_items(self):
-        return ()
 
     def forward(self, x, train, rng):
         if not train or self.p == 0.0:
@@ -165,13 +165,13 @@ class Dropout:
         return x * mask, mask
 
     def backward(self, dy, cache, grads):
-        if cache is None:
-            return dy
-        return dy * cache
+        return dy if cache is None else dy * cache
 
 
-class ResidualMLP:
+class ResidualMLP(_Layer):
     """y = x + Drop(SiLU(x W1 + b1) W2 + b2), both weights square."""
+
+    PARAMS = ("w1", "b1", "w2", "b2")
 
     def __init__(self, name: str, dim: int, dropout: float, rng: RngStream):
         self.name = name
@@ -180,12 +180,6 @@ class ResidualMLP:
         self.w2 = _glorot(rng, dim, dim)
         self.b2 = np.zeros(dim)
         self.drop = Dropout(f"{name}.drop", dropout)
-
-    def param_items(self):
-        yield f"{self.name}.w1", self.w1
-        yield f"{self.name}.b1", self.b1
-        yield f"{self.name}.w2", self.w2
-        yield f"{self.name}.b2", self.b2
 
     def forward(self, x, train, rng):
         a = x @ self.w1 + self.b1
@@ -197,11 +191,12 @@ class ResidualMLP:
     def backward(self, dy, cache, grads):
         x, a, h, sig, mask = cache
         dm = self.drop.backward(dy, mask, grads)
-        _accum(grads, f"{self.name}.w2", h.T @ dm)
-        _accum(grads, f"{self.name}.b2", dm.sum(axis=0))
+        w1, b1, w2, b2 = (f"{self.name}.{attr}" for attr in self.PARAMS)
+        grads[w2] = np.matmul(h.T, dm, out=grads.get(w2))
+        grads[b2] = np.sum(dm, axis=0, out=grads.get(b2))
         da = (dm @ self.w2.T) * _silu_grad(a, sig)
-        _accum(grads, f"{self.name}.w1", x.T @ da)
-        _accum(grads, f"{self.name}.b1", da.sum(axis=0))
+        grads[w1] = np.matmul(x.T, da, out=grads.get(w1))
+        grads[b1] = np.sum(da, axis=0, out=grads.get(b1))
         return dy + da @ self.w1.T
 
 
@@ -222,13 +217,7 @@ class AutoencoderConfig:
             raise InvalidInput("dropout must be in [0, 1)")
 
     def to_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "hidden_dims": list(self.hidden_dims),
-            "latent_dim": self.latent_dim,
-            "dropout": self.dropout,
-            "layernorm_eps": self.layernorm_eps,
-        }
+        return dict(asdict(self), hidden_dims=list(self.hidden_dims))
 
     @classmethod
     def from_dict(cls, d: dict) -> "AutoencoderConfig":
@@ -245,13 +234,13 @@ def _make_stage(name, d_in, width, cfg, rng):
     ]
 
 
+@dataclass
 class Tape:
     """One-shot record of a forward pass; consumed exactly once by backward."""
 
-    def __init__(self, enc_records, dec_records):
-        self.enc_records = enc_records
-        self.dec_records = dec_records
-        self.consumed = False
+    enc_records: list
+    dec_records: list
+    consumed: bool = False
 
 
 class Autoencoder:
@@ -259,7 +248,6 @@ class Autoencoder:
 
     def __init__(self, cfg: AutoencoderConfig, rng: RngStream):
         self.cfg = cfg
-        self.mode = "eval"
         self.enc_layers = []
         d = cfg.input_dim
         for i, width in enumerate(cfg.hidden_dims):
@@ -274,20 +262,15 @@ class Autoencoder:
         self.dec_layers.append(Dense("dec.out", d, cfg.input_dim, rng))
 
     def parameters(self) -> dict:
-        out = {}
-        for layer in self.enc_layers + self.dec_layers:
-            for name, arr in layer.param_items():
-                out[name] = arr
-        return out
+        layers = self.enc_layers + self.dec_layers
+        return {name: arr for layer in layers for name, arr in layer.param_items()}
 
-    def load_snapshot(self, snap: dict) -> None:
-        params = self.parameters()
-        if set(snap) != set(params):
-            raise InvalidInput("snapshot parameter names do not match model")
-        for name, arr in params.items():
-            if snap[name].shape != arr.shape:
-                raise InvalidInput(f"snapshot shape mismatch for {name}")
-            arr[...] = snap[name]
+    def bind(self, flat: FlatParams, prefix: str = "") -> None:
+        """Make each layer parameter the view ``flat[prefix + name]``, which
+        must already hold its value."""
+        for layer in self.enc_layers + self.dec_layers:
+            for attr in layer.PARAMS:
+                setattr(layer, attr, flat[f"{prefix}{layer.name}.{attr}"])
 
     def forward(self, x: Matrix, mode: str = "eval", rng: RngStream | None = None):
         """Returns (latent Z, reconstruction Xhat, tape)."""
@@ -306,21 +289,20 @@ class Autoencoder:
             dec_records.append((layer, cache))
         return z, h, Tape(enc_records, dec_records)
 
-    def backward(self, tape: Tape, d_z, d_xhat):
-        """Exact reverse-mode gradients; returns (named grads, dX)."""
+    def backward(self, tape: Tape, d_z, d_xhat, out: dict | None = None):
+        """Exact reverse-mode gradients; returns (named grads, dX). Each named
+        gradient is written into ``out[name]`` when ``out`` has that name
+        (a view of a flat gradient, say), else into a new array."""
         if tape.consumed:
             raise UsageError("tape already consumed")
         tape.consumed = True
-        grads = {}
+        grads = dict(out or {})
         d = np.asarray(d_xhat, dtype=np.float64)
         for layer, cache in reversed(tape.dec_records):
             d = layer.backward(d, cache, grads)
         d = d + np.asarray(d_z, dtype=np.float64)
         for layer, cache in reversed(tape.enc_records):
             d = layer.backward(d, cache, grads)
-        for name, arr in self.parameters().items():
-            if name not in grads:
-                grads[name] = np.zeros_like(arr)
         return grads, d
 
     def encode(self, x: Matrix) -> Matrix:
@@ -357,71 +339,114 @@ def cosine_lr(epoch: float, total_epochs: float, lr0: float, lr_min: float) -> f
     return lr_min + 0.5 * (lr0 - lr_min) * (1.0 + math.cos(math.pi * epoch / total_epochs))
 
 
-def global_grad_norm(grads: dict) -> float:
-    total = 0.0
-    with np.errstate(over="ignore"):  # inf norm is a legal answer mid-abort
-        for g in grads.values():
-            total += float(np.sum(np.asarray(g) ** 2))
-    return math.sqrt(total)
+def global_grad_norm(grad) -> float:
+    """L2 norm of a gradient vector: one dot product."""
+    with np.errstate(over="ignore", invalid="ignore"):  # inf norm is a legal answer mid-abort
+        return math.sqrt(grad @ grad)
 
 
-def clip_grad_norm(grads: dict, max_norm: float = 1.0) -> dict:
-    """Scale all gradients so the global L2 norm is at most max_norm."""
-    norm = global_grad_norm(grads)
+def clip_grad_norm(grad, max_norm: float = 1.0) -> float:
+    """Scale the gradient vector in place so its L2 norm is at most
+    ``max_norm``; returns the norm it had before."""
+    norm = global_grad_norm(grad)
     if norm > max_norm:
-        factor = max_norm / norm
-        for name in grads:
-            grads[name] = grads[name] * factor
-    return grads
+        grad *= max_norm / norm
+    return norm
+
+
+class FlatParams(dict):
+    """Named float64 arrays that are views into one contiguous vector.
+
+    Maps each name to its view of ``vector``, in the order the arrays were
+    given, with their values copied in; a ``vector`` passed in is used as it
+    is, and then ``arrays`` only give the names and shapes. AdamW, clipping
+    and snapshots work on the vector; layers, checkpoints and `grad_check`
+    on the named views.
+    """
+
+    def __init__(self, arrays: dict, vector: np.ndarray | None = None):
+        shapes = [np.shape(a) for a in arrays.values()]
+        self.offsets = np.cumsum([0] + [math.prod(shape) for shape in shapes])
+        self.vector = np.empty(int(self.offsets[-1])) if vector is None else vector
+        for (name, arr), shape, start, stop in zip(arrays.items(), shapes, self.offsets,
+                                                   self.offsets[1:]):
+            self[name] = self.vector[start:stop].reshape(shape)
+            if vector is None:
+                self[name][...] = arr
+
+    def like(self) -> FlatParams:
+        """The same names and shapes over a new, uninitialised vector (a
+        gradient that will be written in full)."""
+        return FlatParams(self, np.empty_like(self.vector))
+
+    def section(self, prefix: str) -> dict:
+        """The views whose names start with ``prefix``, keyed without it."""
+        return {name[len(prefix) :]: view for name, view in self.items() if name.startswith(prefix)}
+
+    def name_at(self, index: int) -> str:
+        """Name of the array that holds ``vector[index]``."""
+        return list(self)[int(np.searchsorted(self.offsets, index, side="right")) - 1]
+
+
+# Elements per AdamW block: the block's slices of the parameters, gradient,
+# both moments and two temporaries (6 x 128 KB) stay in a core's L2 cache.
+_ADAMW_BLOCK = 16384
 
 
 class AdamW:
-    """AdamW with decoupled weight decay over a named parameter dict.
+    """AdamW (Loshchilov & Hutter, 2019) over the vector of a `FlatParams`.
 
-    Decay is applied as p -= lr * wd * p, independent of the adaptive update;
-    names in ``no_decay`` are exempt.
+    Decay is decoupled, p *= 1 - lr * wd, independent of the adaptive update;
+    names in ``no_decay`` are exempt. `step` takes the gradient as one vector
+    of the same layout and updates in blocks of ``_ADAMW_BLOCK`` elements.
     """
 
-    def __init__(
-        self,
-        params: dict,
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        weight_decay: float = 0.01,
-        no_decay=(),
-    ):
-        self.params = params
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self.no_decay = set(no_decay)
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+    def __init__(self, params: FlatParams, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8,
+                 weight_decay=0.01, no_decay=()):
+        self.params, self.lr, self.weight_decay = params, lr, weight_decay
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.m, self.v = np.zeros((2, params.vector.size))
         self.t = 0
+        # the decayed elements as [start, stop) runs
+        decayed = np.repeat([name not in no_decay for name in params], np.diff(params.offsets))
+        edges = np.flatnonzero(np.diff(np.concatenate([[0], decayed, [0]])))
+        self._decay = edges.reshape(-1, 2).tolist()
+        self._tmp = np.empty((2, min(_ADAMW_BLOCK, params.vector.size)))
 
-    def step(self, grads: dict, lr: float | None = None) -> None:
+    def step(self, grad, lr: float | None = None) -> None:
         lr = self.lr if lr is None else lr
-        for name, g in grads.items():
-            if not np.all(np.isfinite(g)):
-                raise NonFiniteGradient(f"non-finite gradient for {name}")
+        # a finite norm means finite entries; only a non-finite one needs the
+        # element-wise search for the tensor to name
+        if not math.isfinite(global_grad_norm(grad)):
+            bad = np.flatnonzero(~np.isfinite(grad))
+            if bad.size:
+                raise NonFiniteGradient(f"non-finite gradient for {self.params.name_at(bad[0])}")
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
-        for name, p in self.params.items():
-            g = grads[name]
-            if self.weight_decay > 0.0 and name not in self.no_decay:
-                p -= lr * self.weight_decay * p
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        shrink = 1.0 - lr * self.weight_decay
+        step_size = lr / (1.0 - self.beta1**self.t)
+        inv_sqrt_bc2 = 1.0 / math.sqrt(1.0 - self.beta2**self.t)
+        p, m, v = self.params.vector, self.m, self.v
+        for a in range(0, p.size, _ADAMW_BLOCK):
+            b = min(a + _ADAMW_BLOCK, p.size)
+            t, u = self._tmp[:, : b - a]
+            if shrink != 1.0:
+                for lo, hi in self._decay:
+                    p[max(lo, a) : min(hi, b)] *= shrink  # empty outside the block
+            g, mb, vb = grad[a:b], m[a:b], v[a:b]
+            mb *= self.beta1
+            np.multiply(1.0 - self.beta1, g, out=t)
+            mb += t
+            vb *= self.beta2
+            np.multiply(g, g, out=t)
+            t *= 1.0 - self.beta2
+            vb += t
+            # p -= (lr / bc1) m / (sqrt(v) / sqrt(bc2) + eps)
+            np.sqrt(vb, out=t)
+            t *= inv_sqrt_bc2
+            t += self.eps
+            np.multiply(mb, step_size, out=u)
+            u /= t
+            p[a:b] -= u
 
 
 def grad_check(
@@ -439,9 +464,7 @@ def grad_check(
     Relative error is |analytic - fd| / max(1e-8, |analytic| + |fd|).
     """
     rng = rng or RngStream(0)
-    flat = []
-    for name, p in params.items():
-        flat.extend((name, i) for i in range(p.size))
+    flat = [(name, i) for name, p in params.items() for i in range(p.size)]
     if len(flat) > num_samples:
         picks = rng.choice(len(flat), num_samples, replace=False)
         flat = [flat[i] for i in picks]

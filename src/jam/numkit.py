@@ -52,12 +52,14 @@ def check_symmetric(m: Matrix, name: str, tol: float) -> None:
 _LANCZOS_ROWS_PER_PAIR = 20
 
 
-def sym_eig(s: Matrix, tol: float = 1e-10, top: int | None = None) -> tuple[np.ndarray, Matrix]:
+def sym_eig(s: Matrix, tol: float = 1e-10, top: int | None = None,
+            _checked: bool = False) -> tuple[np.ndarray, Matrix]:
     """Eigendecomposition of a symmetric matrix, eigenvalues descending.
 
     With ``top`` only the ``top`` largest eigenpairs are returned (all n by
     default). Asymmetry beyond ``tol`` (scaled by max(1, max|S|)) is
-    rejected. The input is not modified. The solver depends on the shape
+    rejected, unless the caller passes ``_checked`` for a matrix it built
+    from one that passed the check. The input is not modified. The solver depends on the shape
     alone: ARPACK's Lanczos (``eigsh``) to machine precision when
     n >= 20 * top, from a seeded start vector so that reruns give the same
     bits; otherwise, or when ARPACK raises, LAPACK ``syevr`` (MRRR) over an
@@ -70,7 +72,8 @@ def sym_eig(s: Matrix, tol: float = 1e-10, top: int | None = None) -> tuple[np.n
     top = n if top is None else int(top)
     if not min(n, 1) <= top <= n:
         raise InvalidInput(f"top must be in [1, {n}], got {top}")
-    check_symmetric(m, "matrix", tol)
+    if not _checked:
+        check_symmetric(m, "matrix", tol)
     if 1 <= top <= n // _LANCZOS_ROWS_PER_PAIR:
         from scipy.sparse import linalg as sparse_linalg  # imported here: it adds 4 MB of RSS
 

@@ -7,17 +7,24 @@ backprop), clip the global gradient norm at 1.0 and take a joint AdamW step
 under a cosine learning-rate schedule. Binary image-to-text Recall@1 on the
 validation split is computed every ``validate_every`` epochs; training stops
 early after ``patience`` consecutive non-improving validations and always
-returns the parameters of the best recorded validation.
+returns the parameters of the best recorded validation. Epoch records give
+the mean and largest pre-clip gradient norm and the share of clipped steps.
+
+Every trained parameter lives in one float64 vector (`_joint_params`, a
+`nnet.FlatParams`): both autoencoders' layers hold views into it, and the
+gradient of a step is one vector of the same layout, so clipping, AdamW and
+the best/initial snapshots each work on one array.
 
 The language autoencoder reconstructs positive and hard-negative texts in
-every objective (hard negatives must be encodable at evaluation time);
-gradients from the alignment loss reach it through both text passes.
+every objective (hard negatives must be encodable at evaluation time); they
+go through it as one stacked pass, and gradients from the alignment loss
+reach it through both halves.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -30,6 +37,7 @@ from .nnet import (
     AdamW,
     Autoencoder,
     AutoencoderConfig,
+    FlatParams,
     clip_grad_norm,
     cosine_lr,
     load_checkpoint,
@@ -103,15 +111,7 @@ class TrainHistory:
     seed: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "validations": self.validations,
-            "best_score": self.best_score,
-            "best_epoch": self.best_epoch,
-            "stop_epoch": self.stop_epoch,
-            "stop_reason": self.stop_reason,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 class EarlyStopping:
@@ -152,18 +152,24 @@ class TrainedJAM:
     def encode_language(self, x):
         return self.language_ae.encode(x)
 
-    def scale(self) -> float:
-        return self.sim_cfg.scale(self.log_scale)
 
-
-def _joint_params(vision: Autoencoder, language: Autoencoder, log_scale_array=None) -> dict:
+def _named_params(vision: Autoencoder, language: Autoencoder, log_scale=None) -> dict:
     """Every trained parameter by name: ``v.*`` (vision), ``l.*`` (language),
-    then ``logit_scale`` when its one-element array is given. The values are
-    the live arrays, not copies."""
+    then ``logit_scale`` as a one-element array when ``log_scale`` is given."""
     params = {f"v.{name}": arr for name, arr in vision.parameters().items()}
     params.update((f"l.{name}", arr) for name, arr in language.parameters().items())
-    if log_scale_array is not None:
-        params["logit_scale"] = log_scale_array
+    if log_scale is not None:
+        params["logit_scale"] = np.array([log_scale])
+    return params
+
+
+def _joint_params(vision: Autoencoder, language: Autoencoder, log_scale=None) -> FlatParams:
+    """Packs the `_named_params` of both autoencoders into one `FlatParams`
+    and binds the autoencoders to it: from here on their layers' parameters
+    are views into its vector."""
+    params = FlatParams(_named_params(vision, language, log_scale))
+    vision.bind(params, "v.")
+    language.bind(params, "l.")
     return params
 
 
@@ -188,27 +194,30 @@ def evaluate(model: TrainedJAM, ds: PairedDataset, seed: int) -> RetrievalResult
     )
 
 
-def train_step(vision, language, xv, xlp, xln, lam, alpha, log_scale, cfg: TrainConfig, rng):
+def train_step(vision, language, params: FlatParams, xv, xlp, xln, lam, alpha, cfg: TrainConfig, rng):
     """Objective and gradients of one joint step on one batch.
 
-    Forwards images, positive texts and hard-negative texts in train mode (in
-    that order, drawing dropout from ``rng``), adds the lambda-weighted
-    reconstruction of both autoencoders to the alignment objective and
-    backpropagates through both. Returns (total, grads, parts): ``grads`` is
-    named like `_joint_params` (``v.*``, ``l.*``, then ``logit_scale`` when the
-    scale is learnable), or None, with no backward run, when ``total`` is not
-    finite; ``parts`` is `losses.alignment_grads`' parts plus ``recon_v``,
-    ``recon_l``, ``align`` and ``total``.
+    ``params`` is the `_joint_params` both autoencoders are bound to; the
+    logit scale is read from it when it holds one. Forwards the images, then
+    the positive and hard-negative texts stacked as one 2B-row language pass,
+    in train mode (drawing dropout from ``rng`` in that order), adds the
+    lambda-weighted reconstruction of both autoencoders to the alignment
+    objective and backpropagates through both. Returns (total, grads, parts):
+    ``grads`` is a new ``params.like()`` holding the gradient, or None, with
+    no backward run, when ``total`` is not finite; ``parts`` is
+    `losses.alignment_grads`' parts plus ``recon_v``, ``recon_l``, ``align``
+    and ``total``.
     """
+    log_scale = float(params["logit_scale"][0]) if "logit_scale" in params else None
+    n = len(xlp)
+    x_l = np.concatenate([xlp, xln])
     zv, xhat_v, tape_v = vision.forward(xv, "train", rng)
-    zlp, xhat_lp, tape_lp = language.forward(xlp, "train", rng)
-    zln, xhat_ln, tape_ln = language.forward(xln, "train", rng)
+    z_l, xhat_l, tape_l = language.forward(x_l, "train", rng)
 
     recon_v = losses.mse_recon(xv, xhat_v)
-    x_l = np.concatenate([xlp, xln])
-    recon_l = losses.mse_recon(x_l, np.concatenate([xhat_lp, xhat_ln]))
+    recon_l = losses.mse_recon(x_l, xhat_l)
     align, d_zv, d_zlp, d_zln, d_ls, parts = losses.alignment_grads(
-        cfg.loss_cfg.objective, zv, zlp, zln, alpha=alpha, sim_cfg=cfg.sim_cfg,
+        cfg.loss_cfg.objective, zv, z_l[:n], z_l[n:], alpha=alpha, sim_cfg=cfg.sim_cfg,
         log_scale=log_scale, include_positive=cfg.loss_cfg.include_positive_in_denominator,
     )
     total = lam * (recon_v + recon_l) + align
@@ -216,20 +225,19 @@ def train_step(vision, language, xv, xlp, xln, lam, alpha, log_scale, cfg: Train
     if not math.isfinite(total):
         return total, None, parts
 
+    # A new gradient vector each step, made while the activations are alive,
+    # lands near the top of glibc's heap and the caller keeps it until the
+    # next step's exists: free() then never sees a large free top to trim, and
+    # each forward reuses mapped memory. One vector made before training sits
+    # low instead; at batch 1024 glibc then returned ~350 MB after every step
+    # and the next forward faulted it back in (~25 K minor faults).
+    grads = params.like()
     d_xhat_v = lam * 2.0 * (xhat_v - xv) / xv.size
-    scale_l = lam * 2.0 / x_l.size
-    d_xhat_lp = scale_l * (xhat_lp - xlp)
-    d_xhat_ln = scale_l * (xhat_ln - xln)
-
-    grads_v, _ = vision.backward(tape_v, d_zv, d_xhat_v)
-    grads_lp, _ = language.backward(tape_lp, d_zlp, d_xhat_lp)
-    grads_ln, _ = language.backward(tape_ln, d_zln, d_xhat_ln)
-
-    grads = {f"v.{k}": g for k, g in grads_v.items()}
-    for k in grads_lp:
-        grads[f"l.{k}"] = grads_lp[k] + grads_ln[k]
-    if cfg.sim_cfg.logit_scale_mode == "learnable":
-        grads["logit_scale"] = np.array([d_ls])
+    vision.backward(tape_v, d_zv, d_xhat_v, grads.section("v."))
+    d_xhat_l = lam * 2.0 / x_l.size * (xhat_l - x_l)
+    language.backward(tape_l, np.concatenate([d_zlp, d_zln]), d_xhat_l, grads.section("l."))
+    if "logit_scale" in grads:
+        grads["logit_scale"][0] = d_ls
     return total, grads, parts
 
 
@@ -254,31 +262,20 @@ def train(train_ds: PairedDataset, val_ds: PairedDataset, cfg: TrainConfig, seed
     vision = Autoencoder(cfg.ae_cfg_vision, rng_init_v)
     language = Autoencoder(cfg.ae_cfg_language, rng_init_l)
     learnable = cfg.sim_cfg.logit_scale_mode == "learnable"
-    params = _joint_params(
-        vision, language, np.array([cfg.sim_cfg.logit_scale_init]) if learnable else None
-    )
-    opt = AdamW(
-        params,
-        lr=cfg.lr0,
-        weight_decay=cfg.weight_decay,
-        no_decay={"logit_scale"},
-    )
+    params = _joint_params(vision, language, cfg.sim_cfg.logit_scale_init if learnable else None)
+    opt = AdamW(params, lr=cfg.lr0, weight_decay=cfg.weight_decay, no_decay={"logit_scale"})
 
     def current_log_scale():
         return float(params["logit_scale"][0]) if learnable else None
 
-    def snapshot():
-        return {name: arr.copy() for name, arr in params.items()}
-
     def restore(snap):
-        for name, arr in params.items():
-            arr[...] = snap[name]
+        params.vector[...] = snap
         model.log_scale = current_log_scale()
         return model
 
     model = TrainedJAM(vision, language, cfg.sim_cfg, current_log_scale(), cfg.loss_cfg)
     history = TrainHistory(seed=seed)
-    init_snap = snapshot()
+    init_snap = params.vector.copy()
     best_snap = None
     stopper = EarlyStopping(cfg.patience)
     horizon = max(cfg.epochs - 1, 0)  # last scheduled epoch hits the endpoints
@@ -292,55 +289,47 @@ def train(train_ds: PairedDataset, val_ds: PairedDataset, cfg: TrainConfig, seed
         alpha = losses.alpha_at(cfg.loss_cfg, epoch, horizon)
         perm = rng_shuffle.permutation(n)
         sums = {"recon_v": 0.0, "recon_l": 0.0, "align": 0.0, "total": 0.0}
-        n_batches = 0
+        norms = []  # pre-clip gradient norms
         aborted = False
 
         for start in range(0, n, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
             if len(idx) < 2:
                 continue  # a 1-row tail cannot form a contrastive denominator
-            _, grads, parts = train_step(
-                vision, language, train_ds.images[idx], train_ds.positives[idx],
-                train_ds.negatives[idx], lam, alpha, current_log_scale(), cfg, rng_dropout,
+            total, grads, parts = train_step(
+                vision, language, params, train_ds.images[idx], train_ds.positives[idx],
+                train_ds.negatives[idx], lam, alpha, cfg, rng_dropout,
             )
-            if grads is None:
+            if not math.isfinite(total):
                 aborted = True
                 break
 
-            clip_grad_norm(grads, 1.0)
-            opt.step(grads, lr=lr)
+            norms.append(clip_grad_norm(grads.vector, 1.0))
+            opt.step(grads.vector, lr=lr)
             if learnable:
-                np.clip(
-                    params["logit_scale"], 0.0, cfg.sim_cfg.logit_scale_max,
-                    out=params["logit_scale"],
-                )
+                np.clip(params["logit_scale"], 0.0, cfg.sim_cfg.logit_scale_max, out=params["logit_scale"])
 
             for key in sums:
                 sums[key] += parts[key]
-            n_batches += 1
 
         if aborted:
             history.stop_epoch = epoch
             history.stop_reason = "aborted_nonfinite"
             salvage = restore(best_snap if best_snap is not None else init_snap)
-            raise NonFiniteLoss(
-                f"non-finite loss at epoch {epoch}", history=history, model=salvage
-            )
+            raise NonFiniteLoss(f"non-finite loss at epoch {epoch}", history=history, model=salvage)
 
-        denom = max(n_batches, 1)
-        history.epochs.append(
-            {
-                "epoch": epoch,
-                "recon_v": sums["recon_v"] / denom,
-                "recon_l": sums["recon_l"] / denom,
-                "align": sums["align"] / denom,
-                "total": sums["total"] / denom,
-                "lambda": lam,
-                "alpha": alpha,
-                "lr": lr,
-                "logit_scale": cfg.sim_cfg.scale(current_log_scale()),
-            }
-        )
+        denom = max(len(norms), 1)
+        history.epochs.append({
+            "epoch": epoch,
+            **{key: value / denom for key, value in sums.items()},
+            "lambda": lam,
+            "alpha": alpha,
+            "lr": lr,
+            "logit_scale": cfg.sim_cfg.scale(current_log_scale()),
+            "grad_norm_mean": sum(norms) / denom,
+            "grad_norm_max": max(norms, default=0.0),
+            "clip_fraction": sum(norm > 1.0 for norm in norms) / denom,
+        })
         stop_epoch = epoch + 1
 
         if (epoch + 1) % cfg.validate_every == 0:
@@ -351,7 +340,7 @@ def train(train_ds: PairedDataset, val_ds: PairedDataset, cfg: TrainConfig, seed
             if improved:
                 history.best_score = score
                 history.best_epoch = epoch + 1
-                best_snap = snapshot()
+                best_snap = params.vector.copy()
             if should_stop:
                 stop_reason = "early_stopped"
                 break
@@ -372,12 +361,7 @@ class SweepEntry:
     stop_reason: str
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "best_val_recall": self.best_val_recall,
-            "stop_epoch": self.stop_epoch,
-            "stop_reason": self.stop_reason,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -386,10 +370,7 @@ class SweepReport:
     best_alpha: float
 
     def to_dict(self) -> dict:
-        return {
-            "entries": [e.to_dict() for e in self.entries],
-            "best_alpha": self.best_alpha,
-        }
+        return asdict(self)
 
 
 def sweep_alpha(train_ds, val_ds, cfg: TrainConfig, alphas, seed: int | None = None) -> SweepReport:
@@ -404,17 +385,8 @@ def sweep_alpha(train_ds, val_ds, cfg: TrainConfig, alphas, seed: int | None = N
             loss_cfg=replace(cfg.loss_cfg, objective="spread", alpha=float(alpha), alpha_schedule=None),
         )
         model, history = train(train_ds, val_ds, run_cfg, seed=seed)
-        score = history.best_score
-        if score is None:
-            score = validate(model, val_ds)
-        entries.append(
-            SweepEntry(
-                alpha=float(alpha),
-                best_val_recall=float(score),
-                stop_epoch=history.stop_epoch,
-                stop_reason=history.stop_reason,
-            )
-        )
+        score = validate(model, val_ds) if history.best_score is None else history.best_score
+        entries.append(SweepEntry(float(alpha), float(score), history.stop_epoch, history.stop_reason))
     best = max(entries, key=lambda e: e.best_val_recall)
     return SweepReport(entries=entries, best_alpha=best.alpha)
 
@@ -436,11 +408,7 @@ def save_jam(path, model: TrainedJAM, cfg: TrainConfig, seed: int, extra_meta: d
 
     The optimizer state is not written; checkpoints that hold it (``opt.*``
     tensors) still load, since ``load_jam`` reads only the parameters."""
-    tensors = _joint_params(
-        model.vision_ae,
-        model.language_ae,
-        None if model.log_scale is None else np.array([model.log_scale]),
-    )
+    tensors = _named_params(model.vision_ae, model.language_ae, model.log_scale)
     meta = {
         "train_config": cfg.to_dict(),
         "seed": int(seed),
@@ -457,8 +425,13 @@ def load_jam(path):
     cfg = TrainConfig.from_dict(meta["train_config"])
     vision = Autoencoder(cfg.ae_cfg_vision, RngStream(0))
     language = Autoencoder(cfg.ae_cfg_language, RngStream(0))
-    for prefix, ae in (("v.", vision), ("l.", language)):
-        ae.load_snapshot({k[2:]: v for k, v in tensors.items() if k.startswith(prefix)})
     log_scale = float(tensors["logit_scale"][0]) if "logit_scale" in tensors else None
+    params = _joint_params(vision, language, log_scale)
+    if {k for k in tensors if k.startswith(("v.", "l."))} != set(params) - {"logit_scale"}:
+        raise InvalidInput(f"{path}: checkpoint parameter names do not match the model")
+    for name, view in params.items():
+        if tensors[name].shape != view.shape:
+            raise InvalidInput(f"{path}: checkpoint shape mismatch for {name}")
+        view[...] = tensors[name]
     model = TrainedJAM(vision, language, cfg.sim_cfg, log_scale, cfg.loss_cfg)
     return model, meta

@@ -94,12 +94,11 @@ def _objective_closure(objective, alpha, include_positive=False):
     )
     vision = Autoencoder(cfg.ae_cfg_vision, RngStream(1))
     language = Autoencoder(cfg.ae_cfg_language, RngStream(2))
-    params = _joint_params(vision, language, np.array([SIM.logit_scale_init]))
+    params = _joint_params(vision, language, SIM.logit_scale_init)
     lam = losses.lambda_schedule(3, 10, cfg.loss_cfg)
 
     def step():
-        log_scale = float(params["logit_scale"][0])
-        return train_step(vision, language, x_v, x_lp, x_ln, lam, alpha, log_scale, cfg, RngStream(777))
+        return train_step(vision, language, params, x_v, x_lp, x_ln, lam, alpha, cfg, RngStream(777))
 
     _, grads, _ = step()
     return params, lambda: step()[0], grads
@@ -389,7 +388,7 @@ class TestCriterion7SchedulesClipping:
 
         worst = 0.0
         for seed in range(10):
-            grads = {"a": RngStream(seed).gaussian(4, 4) * (seed + 0.2)}
+            grads = RngStream(seed).gaussian(4, 4).ravel() * (seed + 0.2)
             before = global_grad_norm(grads)
             clip_grad_norm(grads, 1.0)
             worst = max(worst, abs(global_grad_norm(grads) - min(before, 1.0)))

@@ -13,6 +13,7 @@ from jam.nnet import (
     AutoencoderConfig,
     Dense,
     Dropout,
+    FlatParams,
     LayerNorm,
     ResidualMLP,
     SwiGLU,
@@ -284,36 +285,107 @@ class TestSigmoid:
         assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
+def _textbook_adamw(params, grads, t, lr, wd, no_decay, beta1=0.9, beta2=0.999, eps=1e-8, state=None):
+    """One AdamW step (Loshchilov & Hutter, 2019) per named tensor; returns the moments."""
+    state = state or {name: (np.zeros_like(p), np.zeros_like(p)) for name, p in params.items()}
+    for name, p in params.items():
+        m, v = state[name]
+        g = grads[name]
+        if name not in no_decay:
+            p -= lr * wd * p
+        m[...] = beta1 * m + (1 - beta1) * g
+        v[...] = beta2 * v + (1 - beta2) * g * g
+        p -= lr * (m / (1 - beta1**t)) / (np.sqrt(v / (1 - beta2**t)) + eps)
+    return state
+
+
 class TestAdamW:
     def test_hand_step(self):
-        params = {"p": np.array([1.0])}
+        params = FlatParams({"p": np.array([1.0])})
         opt = AdamW(params, lr=0.1, weight_decay=0.0)
-        opt.step({"p": np.array([1.0])})
+        opt.step(np.array([1.0]))
         # mhat = 1, vhat = 1 -> p' = 1 - 0.1 / (1 + 1e-8)
         assert abs(params["p"][0] - (1.0 - 0.1 / (1.0 + 1e-8))) < 1e-12
 
     def test_pure_decay(self):
-        params = {"p": np.array([2.0])}
+        params = FlatParams({"p": np.array([2.0])})
         opt = AdamW(params, lr=0.1, weight_decay=0.01)
-        opt.step({"p": np.array([0.0])})
+        opt.step(np.array([0.0]))
         assert abs(params["p"][0] - 2.0 * (1.0 - 0.1 * 0.01)) < 1e-12
 
     def test_identical_runs_identical_trajectories(self):
         def run():
-            params = {"w": RngStream(1).gaussian(3, 3)}
+            params = FlatParams({"w": RngStream(1).gaussian(3, 3)})
             opt = AdamW(params, lr=0.01)
             g_rng = RngStream(2)
             for _ in range(20):
-                opt.step({"w": g_rng.gaussian(3, 3)})
+                opt.step(g_rng.gaussian(3, 3).ravel())
             return params["w"]
 
         np.testing.assert_array_equal(run(), run())
 
     def test_nonfinite_gradient_rejected(self):
-        params = {"p": np.array([1.0])}
+        params = FlatParams({"p": np.array([1.0])})
         opt = AdamW(params)
         with pytest.raises(NonFiniteGradient):
-            opt.step({"p": np.array([np.nan])})
+            opt.step(np.array([np.nan]))
+
+    def test_matches_per_tensor_textbook(self):
+        # more elements than one block, and the exempt scale splits the
+        # decayed elements into two runs
+        r = RngStream(3)
+        arrays = {"a.w": r.gaussian(150, 130), "logit_scale": np.array([2.6]), "b.b": r.gaussian(1, 40)[0]}
+        params = FlatParams(arrays)
+        assert params.vector.size > nnet._ADAMW_BLOCK
+        ref = {name: arr.copy() for name, arr in arrays.items()}
+        opt = AdamW(params, lr=1e-3, weight_decay=0.05, no_decay={"logit_scale"})
+        state = None
+        for t in range(1, 21):
+            lr = cosine_lr(t, 20, 3e-2, 1e-4)
+            grads = {name: r.gaussian(1, arr.size)[0].reshape(arr.shape) for name, arr in arrays.items()}
+            opt.step(np.concatenate([g.ravel() for g in grads.values()]), lr=lr)
+            state = _textbook_adamw(ref, grads, t, lr, 0.05, {"logit_scale"}, state=state)
+        for name in arrays:
+            np.testing.assert_allclose(params[name], ref[name], rtol=0, atol=1e-12)
+        assert params["logit_scale"][0] != arrays["logit_scale"][0]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_gradient_names_its_tensor(self, bad):
+        params = FlatParams({"a": np.ones((3, 4)), "b": np.ones(5), "c": np.ones((2, 2))})
+        before = params.vector.copy()
+        opt = AdamW(params)
+        grad = np.zeros_like(params.vector)
+        grad[params.offsets[1] + 3] = bad
+        with pytest.raises(NonFiniteGradient, match="for b$"):
+            opt.step(grad)
+        assert opt.t == 0 and params.vector.tobytes() == before.tobytes()
+
+    def test_finite_gradient_with_overflowing_norm_is_accepted(self):
+        params = FlatParams({"a": np.ones(4)})
+        opt = AdamW(params, lr=0.1, weight_decay=0.0)
+        grad = np.full(4, 1e155)  # finite, but its squares overflow
+        assert nnet.global_grad_norm(grad) == np.inf
+        with np.errstate(over="ignore"):
+            opt.step(grad)
+        # the second moment overflows too, so the step is zero, not an error
+        assert opt.t == 1 and params["a"].tolist() == [1.0] * 4
+
+
+class TestFlatParams:
+    def test_views_share_one_vector_in_order(self):
+        arrays = {"x": np.arange(6.0).reshape(2, 3), "y": np.array([7.0]), "z": np.arange(4.0)}
+        params = FlatParams(arrays)
+        assert list(params) == list(arrays)
+        np.testing.assert_array_equal(params.vector, np.concatenate([a.ravel() for a in arrays.values()]))
+        grads = params.like()
+        assert list(grads) == list(params) and not np.shares_memory(grads.vector, params.vector)
+        for name, view in params.items():
+            assert view.shape == arrays[name].shape == grads[name].shape
+            assert np.shares_memory(view, params.vector) and not np.shares_memory(view, arrays[name])
+        params["y"][0] = -1.0
+        assert params.vector[6] == -1.0
+        assert [params.name_at(i) for i in range(params.vector.size)] == ["x"] * 6 + ["y"] + ["z"] * 4
+        assert params.section("z") == {"": params["z"]} and list(FlatParams({"a.b": [1.0]}).section("a.")) == ["b"]
 
 
 class TestSchedules:
@@ -332,30 +404,30 @@ class TestSchedules:
 
 class TestClip:
     def test_small_norm_unchanged(self):
-        grads = {"a": np.array([0.3, 0.4])}  # norm 0.5
-        before = {k: v.copy() for k, v in grads.items()}
-        clip_grad_norm(grads, 1.0)
-        np.testing.assert_array_equal(grads["a"], before["a"])
+        grad = np.array([0.3, 0.4])  # norm 0.5
+        before = grad.copy()
+        assert clip_grad_norm(grad, 1.0) == pytest.approx(0.5, abs=1e-15)
+        np.testing.assert_array_equal(grad, before)
 
     def test_large_norm_scaled_to_max(self):
-        grads = {"a": np.array([4.0]), "b": np.zeros(3)}
-        clip_grad_norm(grads, 1.0)
-        assert abs(global_grad_norm(grads) - 1.0) <= 1e-12
+        grad = np.array([4.0, 0.0, 0.0, 0.0])
+        assert clip_grad_norm(grad, 1.0) == 4.0
+        assert abs(global_grad_norm(grad) - 1.0) <= 1e-12
 
     def test_direction_preserved(self):
-        g = RngStream(1).gaussian(4, 4) * 10
-        grads = {"g": g.copy()}
-        clip_grad_norm(grads, 1.0)
-        cos = np.sum(g * grads["g"]) / (np.linalg.norm(g) * np.linalg.norm(grads["g"]))
+        g = RngStream(1).gaussian(4, 4).ravel() * 10
+        grad = g.copy()
+        clip_grad_norm(grad, 1.0)
+        cos = np.sum(g * grad) / (np.linalg.norm(g) * np.linalg.norm(grad))
         assert abs(cos - 1.0) < 1e-12
 
     @given(st.integers(0, 2**31 - 1), st.floats(0.1, 20.0))
     @settings(max_examples=30, deadline=None)
     def test_post_clip_norm_is_min(self, seed, scale):
-        grads = {"g": RngStream(seed).gaussian(3, 3) * scale}
-        before = global_grad_norm(grads)
-        clip_grad_norm(grads, 1.0)
-        assert abs(global_grad_norm(grads) - min(before, 1.0)) <= 1e-12
+        grad = RngStream(seed).gaussian(3, 3).ravel() * scale
+        before = global_grad_norm(grad)
+        assert clip_grad_norm(grad, 1.0) == before
+        assert abs(global_grad_norm(grad) - min(before, 1.0)) <= 1e-12
 
 
 class TestCheckpointContainer:

@@ -7,11 +7,13 @@ import pytest
 from jam.embed_io import SynthConfig, split_dataset, synth_generate
 from jam.errors import InvalidInput, NonFiniteLoss
 from jam.losses import LossConfig, SimilarityConfig
-from jam.nnet import Autoencoder, AutoencoderConfig, load_checkpoint, save_checkpoint
+from jam.nnet import Autoencoder, AutoencoderConfig, FlatParams, load_checkpoint, save_checkpoint
 from jam.numkit import RngStream
 from jam.trainer import (
     EarlyStopping,
     TrainConfig,
+    _joint_params,
+    _named_params,
     evaluate,
     load_jam,
     save_jam,
@@ -141,6 +143,7 @@ class TestTrain:
         cfg = tiny_cfg()
         vision = Autoencoder(cfg.ae_cfg_vision, RngStream(1))
         language = Autoencoder(cfg.ae_cfg_language, RngStream(2))
+        params = _joint_params(vision, language)
         language.parameters()["dec.out.b"][:] = 1e300  # reconstruction error overflows
 
         def no_backward(*args, **kwargs):
@@ -148,12 +151,22 @@ class TestTrain:
 
         monkeypatch.setattr(Autoencoder, "backward", no_backward)
         total, grads, parts = train_step(
-            vision, language, tr.images[:8], tr.positives[:8], tr.negatives[:8],
-            1.0, 0.5, None, cfg, RngStream(3),
+            vision, language, params, tr.images[:8], tr.positives[:8], tr.negatives[:8],
+            1.0, 0.5, cfg, RngStream(3),
         )
         assert grads is None
         assert not math.isfinite(total)
         assert parts["total"] == total and math.isfinite(parts["align"])
+
+    def test_history_records_clipping(self, tiny_data):
+        tr, va, _ = tiny_data
+        _, history = train(tr, va, tiny_cfg(epochs=5, lr0=3e-3), seed=5)
+        for record in history.epochs:
+            assert {"recon_v", "recon_l", "align", "total", "lambda", "alpha", "lr", "logit_scale"} < set(record)
+            assert 0.0 < record["grad_norm_mean"] <= record["grad_norm_max"]
+            assert 0.0 <= record["clip_fraction"] <= 1.0
+            # clipping at 1.0 fires on some step exactly when the largest norm exceeds it
+            assert (record["clip_fraction"] > 0) == (record["grad_norm_max"] > 1.0)
 
     def test_fixed_logit_scale_mode(self, tiny_data):
         tr, va, _ = tiny_data
@@ -170,6 +183,68 @@ class TestTrain:
     def test_batch_size_too_small(self):
         with pytest.raises(InvalidInput):
             tiny_cfg(batch_size=1)
+
+
+class TestFlatLayout:
+    @staticmethod
+    def _pair(cfg):
+        return Autoencoder(cfg.ae_cfg_vision, RngStream(1)), Autoencoder(cfg.ae_cfg_language, RngStream(2))
+
+    def test_joint_params_are_views_of_one_vector(self, tiny_data):
+        tr, _, _ = tiny_data
+        vision, language = self._pair(tiny_cfg())
+        named = {name: arr.copy() for name, arr in _named_params(vision, language, 0.5).items()}
+        params = _joint_params(vision, language, 0.5)
+        assert list(params) == list(named) and list(params)[-1] == "logit_scale"
+        assert sum(view.size for view in params.values()) == params.vector.size
+        for name, view in params.items():
+            assert view.base is params.vector and view.tobytes() == named[name].tobytes()
+        assert all(a is b for a, b in zip(vision.parameters().values(), [params[k] for k in params if k[:2] == "v."]))
+        z = vision.encode(tr.images[:4])
+        params["v.enc.latent.b"] += 1.0
+        np.testing.assert_allclose(vision.encode(tr.images[:4]), z + 1.0, rtol=0, atol=1e-12)
+        zl = language.forward(tr.positives[:4])[0]
+        params.vector[params.offsets[len(vision.parameters())]] += 0.5  # first language weight
+        assert not np.array_equal(language.forward(tr.positives[:4])[0], zl)
+
+    @pytest.mark.parametrize("objective", ["con", "negcon", "spread"])
+    def test_train_step_writes_every_gradient(self, tiny_data, objective, monkeypatch):
+        tr, _, _ = tiny_data
+        cfg = tiny_cfg(objective)
+        vision, language = self._pair(cfg)
+        params = _joint_params(vision, language, cfg.sim_cfg.logit_scale_init)
+        like = FlatParams.like
+
+        def nan_like(self):
+            out = like(self)
+            out.vector[:] = np.nan
+            return out
+
+        monkeypatch.setattr(FlatParams, "like", nan_like)
+        total, grads, _ = train_step(
+            vision, language, params, tr.images[:8], tr.positives[:8], tr.negatives[:8],
+            1.0, 0.5, cfg, RngStream(3),
+        )
+        assert math.isfinite(total) and list(grads) == list(params)
+        # the new gradient vector started as NaN: every element was written
+        assert grads.vector.size == params.vector.size and np.isfinite(grads.vector).all()
+
+    def test_one_language_pass_per_step(self, tiny_data, monkeypatch):
+        tr, _, _ = tiny_data
+        cfg = tiny_cfg()
+        vision, language = self._pair(cfg)
+        params = _joint_params(vision, language, cfg.sim_cfg.logit_scale_init)
+        rows = []
+        forward = Autoencoder.forward
+
+        def counting(self, x, mode="eval", rng=None):
+            rows.append((self is language, len(x)))
+            return forward(self, x, mode, rng)
+
+        monkeypatch.setattr(Autoencoder, "forward", counting)
+        train_step(vision, language, params, tr.images[:8], tr.positives[:8], tr.negatives[:8],
+                   1.0, 0.5, cfg, RngStream(3))
+        assert rows == [(False, 8), (True, 16)]
 
 
 class TestValidateAndEvaluate:
@@ -258,6 +333,35 @@ class TestCheckpointRoundTrip:
             loaded.encode_language(te.positives), model.encode_language(te.positives)
         )
         assert loaded.log_scale == model.log_scale
+
+    def test_save_load_round_trips_bit_for_bit(self, tiny_data, tmp_path):
+        tr, va, _ = tiny_data
+        cfg = tiny_cfg(epochs=5)
+        model, _ = train(tr, va, cfg, seed=5)
+        save_jam(tmp_path / "a.jckp", model, cfg, seed=5)
+        loaded, _ = load_jam(tmp_path / "a.jckp")
+        want = _named_params(model.vision_ae, model.language_ae, model.log_scale)
+        got = _named_params(loaded.vision_ae, loaded.language_ae, loaded.log_scale)
+        assert list(got) == list(want)
+        assert all(got[k].tobytes() == want[k].tobytes() for k in want)
+        save_jam(tmp_path / "b.jckp", loaded, cfg, seed=5)
+        assert (tmp_path / "a.jckp").read_bytes() == (tmp_path / "b.jckp").read_bytes()
+
+    def test_checkpoint_names_must_match_model(self, tiny_data, tmp_path):
+        tr, va, _ = tiny_data
+        cfg = tiny_cfg(epochs=0)
+        model, _ = train(tr, va, cfg, seed=5)
+        save_jam(tmp_path / "model.jckp", model, cfg, seed=5)
+        tensors, meta = load_checkpoint(tmp_path / "model.jckp")
+        tensors["v.extra.w"] = np.zeros(2)
+        save_checkpoint(tmp_path / "extra.jckp", tensors, meta)
+        with pytest.raises(InvalidInput, match="names do not match"):
+            load_jam(tmp_path / "extra.jckp")
+        del tensors["v.extra.w"]
+        tensors["l.dec.out.b"] = np.zeros(3)
+        save_checkpoint(tmp_path / "shape.jckp", tensors, meta)
+        with pytest.raises(InvalidInput, match="shape mismatch for l.dec.out.b"):
+            load_jam(tmp_path / "shape.jckp")
 
     def test_checkpoint_bytes_deterministic(self, tiny_data, tmp_path):
         tr, va, _ = tiny_data
