@@ -385,7 +385,8 @@ class TestFlatParams:
         params["y"][0] = -1.0
         assert params.vector[6] == -1.0
         assert [params.name_at(i) for i in range(params.vector.size)] == ["x"] * 6 + ["y"] + ["z"] * 4
-        assert params.section("z") == {"": params["z"]} and list(FlatParams({"a.b": [1.0]}).section("a.")) == ["b"]
+        nested = FlatParams({"v.a": [1.0], "v.b": [2.0], "l.a": [3.0]})
+        assert list(nested.section("v.")) == ["a", "b"] and nested.section("l.")["a"] is nested["l.a"]
 
 
 class TestSchedules:

@@ -162,7 +162,8 @@ class TestTrain:
         tr, va, _ = tiny_data
         _, history = train(tr, va, tiny_cfg(epochs=5, lr0=3e-3), seed=5)
         for record in history.epochs:
-            assert {"recon_v", "recon_l", "align", "total", "lambda", "alpha", "lr", "logit_scale"} < set(record)
+            old_keys = {"recon_v", "recon_l", "align", "total", "lambda", "alpha", "lr", "logit_scale"}
+            assert old_keys < set(record)
             assert 0.0 < record["grad_norm_mean"] <= record["grad_norm_max"]
             assert 0.0 <= record["clip_fraction"] <= 1.0
             # clipping at 1.0 fires on some step exactly when the largest norm exceeds it
@@ -199,7 +200,7 @@ class TestFlatLayout:
         assert sum(view.size for view in params.values()) == params.vector.size
         for name, view in params.items():
             assert view.base is params.vector and view.tobytes() == named[name].tobytes()
-        assert all(a is b for a, b in zip(vision.parameters().values(), [params[k] for k in params if k[:2] == "v."]))
+        assert all(arr is params[f"v.{name}"] for name, arr in vision.parameters().items())
         z = vision.encode(tr.images[:4])
         params["v.enc.latent.b"] += 1.0
         np.testing.assert_allclose(vision.encode(tr.images[:4]), z + 1.0, rtol=0, atol=1e-12)
