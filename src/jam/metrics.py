@@ -279,8 +279,7 @@ def kpca_reduce(x: Matrix, r: int, gamma: float | None = None) -> Matrix:
     n = xm.shape[0]
     if not 1 <= r <= n - 1:
         raise InvalidInput(f"r must be in [1, rows-1] = [1, {n - 1}]")
-    # center_gram checked the Gram's symmetry; centering keeps it
-    evals, evecs = sym_eig(center_gram(gram(xm, "rbf", gamma)), top=r, _checked=True)
+    evals, evecs = sym_eig(center_gram(gram(xm, "rbf", gamma)), top=r)
     if evals[-1] <= max(evals[0], 1.0) * 1e-12:
         raise DegenerateInput(f"centered kernel has rank < {r}")
     scores = evecs * np.sqrt(evals)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,13 +63,17 @@ def _silu_grad(a, sig):
 
 class _Layer:
     """Trained arrays are the attributes in ``PARAMS``, named ``<layer>.<attr>``;
-    `backward` writes each one's gradient into ``grads[name]`` if present."""
+    `backward` writes each one's gradient into ``grads[name]`` if present,
+    in the order of `grad_names`."""
 
     PARAMS = ()
 
     def param_items(self):
         for attr in self.PARAMS:
             yield f"{self.name}.{attr}", getattr(self, attr)
+
+    def grad_names(self) -> list:
+        return [f"{self.name}.{attr}" for attr in self.PARAMS]
 
 
 class Dense(_Layer):
@@ -85,9 +89,9 @@ class Dense(_Layer):
 
     def backward(self, dy, cache, grads):
         x = cache
-        w, b = f"{self.name}.w", f"{self.name}.b"
+        w, b = self.grad_names()
         grads[w] = np.matmul(x.T, dy, out=grads.get(w))
-        grads[b] = np.sum(dy, axis=0, out=grads.get(b))
+        grads[b] = dy.sum(axis=0, out=grads.get(b))
         return dy @ self.w.T
 
 
@@ -110,9 +114,9 @@ class LayerNorm(_Layer):
 
     def backward(self, dy, cache, grads):
         xhat, s = cache
-        g, b = f"{self.name}.g", f"{self.name}.b"
-        grads[g] = np.sum(dy * xhat, axis=0, out=grads.get(g))
-        grads[b] = np.sum(dy, axis=0, out=grads.get(b))
+        g, b = self.grad_names()
+        grads[g] = (dy * xhat).sum(axis=0, out=grads.get(g))
+        grads[b] = dy.sum(axis=0, out=grads.get(b))
         dxhat = dy * self.g
         m1 = dxhat.mean(axis=1, keepdims=True)
         m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
@@ -141,11 +145,11 @@ class SwiGLU(_Layer):
         x, a, u, h, sig = cache
         da = dy * u * _silu_grad(a, sig)
         du = dy * h
-        wg, bg, wv, bv = (f"{self.name}.{attr}" for attr in self.PARAMS)
+        wg, bg, wv, bv = self.grad_names()
         grads[wg] = np.matmul(x.T, da, out=grads.get(wg))
-        grads[bg] = np.sum(da, axis=0, out=grads.get(bg))
+        grads[bg] = da.sum(axis=0, out=grads.get(bg))
         grads[wv] = np.matmul(x.T, du, out=grads.get(wv))
-        grads[bv] = np.sum(du, axis=0, out=grads.get(bv))
+        grads[bv] = du.sum(axis=0, out=grads.get(bv))
         return da @ self.wg.T + du @ self.wv.T
 
 
@@ -165,7 +169,9 @@ class Dropout(_Layer):
         return x * mask, mask
 
     def backward(self, dy, cache, grads):
-        return dy if cache is None else dy * cache
+        if cache is None:
+            return dy
+        return dy * cache
 
 
 class ResidualMLP(_Layer):
@@ -181,6 +187,10 @@ class ResidualMLP(_Layer):
         self.b2 = np.zeros(dim)
         self.drop = Dropout(f"{name}.drop", dropout)
 
+    def grad_names(self) -> list:
+        # backward reaches the second projection first
+        return [f"{self.name}.{attr}" for attr in ("w2", "b2", "w1", "b1")]
+
     def forward(self, x, train, rng):
         a = x @ self.w1 + self.b1
         h, sig = _silu(a)
@@ -191,12 +201,12 @@ class ResidualMLP(_Layer):
     def backward(self, dy, cache, grads):
         x, a, h, sig, mask = cache
         dm = self.drop.backward(dy, mask, grads)
-        w1, b1, w2, b2 = (f"{self.name}.{attr}" for attr in self.PARAMS)
+        w2, b2, w1, b1 = self.grad_names()
         grads[w2] = np.matmul(h.T, dm, out=grads.get(w2))
-        grads[b2] = np.sum(dm, axis=0, out=grads.get(b2))
+        grads[b2] = dm.sum(axis=0, out=grads.get(b2))
         da = (dm @ self.w2.T) * _silu_grad(a, sig)
         grads[w1] = np.matmul(x.T, da, out=grads.get(w1))
-        grads[b1] = np.sum(da, axis=0, out=grads.get(b1))
+        grads[b1] = da.sum(axis=0, out=grads.get(b1))
         return dy + da @ self.w1.T
 
 
@@ -217,7 +227,13 @@ class AutoencoderConfig:
             raise InvalidInput("dropout must be in [0, 1)")
 
     def to_dict(self) -> dict:
-        return dict(asdict(self), hidden_dims=list(self.hidden_dims))
+        return {
+            "input_dim": self.input_dim,
+            "hidden_dims": list(self.hidden_dims),
+            "latent_dim": self.latent_dim,
+            "dropout": self.dropout,
+            "layernorm_eps": self.layernorm_eps,
+        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "AutoencoderConfig":
@@ -234,13 +250,13 @@ def _make_stage(name, d_in, width, cfg, rng):
     ]
 
 
-@dataclass
 class Tape:
     """One-shot record of a forward pass; consumed exactly once by backward."""
 
-    enc_records: list
-    dec_records: list
-    consumed: bool = False
+    def __init__(self, enc_records, dec_records):
+        self.enc_records = enc_records
+        self.dec_records = dec_records
+        self.consumed = False
 
 
 class Autoencoder:
@@ -264,6 +280,12 @@ class Autoencoder:
     def parameters(self) -> dict:
         layers = self.enc_layers + self.dec_layers
         return {name: arr for layer in layers for name, arr in layer.param_items()}
+
+    def grad_order(self) -> list:
+        """Parameter names in the order `backward` writes their gradients:
+        layers last to first, each in its `grad_names` order."""
+        layers = reversed(self.enc_layers + self.dec_layers)
+        return [name for layer in layers for name in layer.grad_names()]
 
     def bind(self, flat: FlatParams, prefix: str = "") -> None:
         """Make each layer parameter the view ``flat[prefix + name]``, which
@@ -339,16 +361,26 @@ def cosine_lr(epoch: float, total_epochs: float, lr0: float, lr_min: float) -> f
     return lr_min + 0.5 * (lr0 - lr_min) * (1.0 + math.cos(math.pi * epoch / total_epochs))
 
 
-def global_grad_norm(grad) -> float:
-    """L2 norm of a gradient vector: one dot product."""
+def global_grad_norm(grad, spans=None) -> float:
+    """L2 norm of a gradient vector: one dot product, or, with ``spans`` (a
+    list of [start, stop) that covers the vector), ``np.sum`` of the squares
+    of each span, added in that order. The order fixes the rounding of the
+    norm, and so of every clipped step after it."""
     with np.errstate(over="ignore", invalid="ignore"):  # inf norm is a legal answer mid-abort
-        return math.sqrt(grad @ grad)
+        if spans is None:
+            return math.sqrt(grad @ grad)
+        squares = np.empty(max((stop - start for start, stop in spans), default=0))
+        total = 0.0
+        for start, stop in spans:
+            part = grad[start:stop]
+            total += float(np.multiply(part, part, out=squares[: stop - start]).sum())
+        return math.sqrt(total)
 
 
-def clip_grad_norm(grad, max_norm: float = 1.0) -> float:
-    """Scale the gradient vector in place so its L2 norm is at most
-    ``max_norm``; returns the norm it had before."""
-    norm = global_grad_norm(grad)
+def clip_grad_norm(grad, max_norm: float = 1.0, spans=None) -> float:
+    """Scale the gradient vector in place so its L2 norm (`global_grad_norm`
+    over ``spans``) is at most ``max_norm``; returns the norm it had before."""
+    norm = global_grad_norm(grad, spans)
     if norm > max_norm:
         grad *= max_norm / norm
     return norm
@@ -379,9 +411,20 @@ class FlatParams(dict):
         gradient that will be written in full)."""
         return FlatParams(self, np.empty_like(self.vector))
 
-    def section(self, prefix: str) -> dict:
-        """The views whose names start with ``prefix``, keyed without it."""
-        return {name[len(prefix) :]: view for name, view in self.items() if name.startswith(prefix)}
+    def section(self, prefix: str) -> FlatParams:
+        """The arrays whose names start with ``prefix``, keyed without it: a
+        `FlatParams` over their part of ``vector``, so they must be adjacent."""
+        index = [i for i, name in enumerate(self) if name.startswith(prefix)]
+        if index != list(range(index[0], index[-1] + 1)):
+            raise UsageError(f"arrays named {prefix!r}* are not adjacent")
+        names = list(self)[index[0] : index[-1] + 1]
+        vector = self.vector[self.offsets[index[0]] : self.offsets[index[-1] + 1]]
+        return FlatParams({name[len(prefix) :]: self[name] for name in names}, vector)
+
+    def spans(self, names) -> list:
+        """[start, stop) of each named array in the vector, in the given order."""
+        where = dict(zip(self, zip(self.offsets.tolist(), self.offsets[1:].tolist())))
+        return [where[name] for name in names]
 
     def name_at(self, index: int) -> str:
         """Name of the array that holds ``vector[index]``."""
@@ -396,16 +439,31 @@ _ADAMW_BLOCK = 16384
 class AdamW:
     """AdamW (Loshchilov & Hutter, 2019) over the vector of a `FlatParams`.
 
-    Decay is decoupled, p *= 1 - lr * wd, independent of the adaptive update;
+    Decay is applied as p -= lr * wd * p, independent of the adaptive update;
     names in ``no_decay`` are exempt. `step` takes the gradient as one vector
-    of the same layout and updates in blocks of ``_ADAMW_BLOCK`` elements.
+    of the same layout and updates it in blocks of ``_ADAMW_BLOCK`` elements,
+    each element with the float operations of the per-tensor update, so the
+    result does not depend on the layout.
     """
 
-    def __init__(self, params: FlatParams, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8,
-                 weight_decay=0.01, no_decay=()):
-        self.params, self.lr, self.weight_decay = params, lr, weight_decay
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m, self.v = np.zeros((2, params.vector.size))
+    def __init__(
+        self,
+        params: FlatParams,
+        lr: float = 1e-3,
+        beta1: float = 0.9,
+        beta2: float = 0.999,
+        eps: float = 1e-8,
+        weight_decay: float = 0.01,
+        no_decay=(),
+    ):
+        self.params = params
+        self.lr = lr
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.weight_decay = weight_decay
+        self.m = np.zeros_like(params.vector)
+        self.v = np.zeros_like(params.vector)
         self.t = 0
         # the decayed elements as [start, stop) runs
         decayed = np.repeat([name not in no_decay for name in params], np.diff(params.offsets))
@@ -422,17 +480,20 @@ class AdamW:
             if bad.size:
                 raise NonFiniteGradient(f"non-finite gradient for {self.params.name_at(bad[0])}")
         self.t += 1
-        shrink = 1.0 - lr * self.weight_decay
-        step_size = lr / (1.0 - self.beta1**self.t)
-        inv_sqrt_bc2 = 1.0 / math.sqrt(1.0 - self.beta2**self.t)
+        bc1 = 1.0 - self.beta1**self.t
+        bc2 = 1.0 - self.beta2**self.t
+        decay = lr * self.weight_decay
         p, m, v = self.params.vector, self.m, self.v
         for a in range(0, p.size, _ADAMW_BLOCK):
             b = min(a + _ADAMW_BLOCK, p.size)
             t, u = self._tmp[:, : b - a]
-            if shrink != 1.0:
+            if self.weight_decay > 0.0:
                 for lo, hi in self._decay:
-                    p[max(lo, a) : min(hi, b)] *= shrink  # empty outside the block
+                    run = p[max(lo, a) : min(hi, b)]  # empty outside the block
+                    np.multiply(decay, run, out=u[: run.size])
+                    run -= u[: run.size]
             g, mb, vb = grad[a:b], m[a:b], v[a:b]
+            # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) (g g)
             mb *= self.beta1
             np.multiply(1.0 - self.beta1, g, out=t)
             mb += t
@@ -440,11 +501,12 @@ class AdamW:
             np.multiply(g, g, out=t)
             t *= 1.0 - self.beta2
             vb += t
-            # p -= (lr / bc1) m / (sqrt(v) / sqrt(bc2) + eps)
-            np.sqrt(vb, out=t)
-            t *= inv_sqrt_bc2
+            # p -= lr (m / bc1) / (sqrt(v / bc2) + eps)
+            np.divide(mb, bc1, out=u)
+            u *= lr
+            np.divide(vb, bc2, out=t)
+            np.sqrt(t, out=t)
             t += self.eps
-            np.multiply(mb, step_size, out=u)
             u /= t
             p[a:b] -= u
 
@@ -464,7 +526,9 @@ def grad_check(
     Relative error is |analytic - fd| / max(1e-8, |analytic| + |fd|).
     """
     rng = rng or RngStream(0)
-    flat = [(name, i) for name, p in params.items() for i in range(p.size)]
+    flat = []
+    for name, p in params.items():
+        flat.extend((name, i) for i in range(p.size))
     if len(flat) > num_samples:
         picks = rng.choice(len(flat), num_samples, replace=False)
         flat = [flat[i] for i in picks]

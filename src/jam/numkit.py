@@ -37,14 +37,28 @@ def svd(a: Matrix) -> tuple[Matrix, np.ndarray, Matrix]:
     return u, s, vt
 
 
+# Rows and columns per tile of `check_symmetric`: a tile, its mirror and
+# their difference (3 x 512 KB) stay in a core's L2 cache.
+_SYM_TILE = 256
+
+
 def check_symmetric(m: Matrix, name: str, tol: float) -> None:
-    """Reject a square ``m`` whose asymmetry exceeds ``tol`` * max(1, max|m|)."""
+    """Reject a square ``m`` whose asymmetry exceeds ``tol`` * max(1, max|m|).
+
+    Each tile on or above the diagonal is compared with its mirror below
+    it, so no n x n temporary is made; at n = 2000 that took a third of the
+    time of the whole ``m - m.T``."""
     if m.size:
         scale = max(1.0, float(m.max()), -float(m.min()))
-        asym = m - m.T
-        np.abs(asym, out=asym)
-        if float(asym.max()) > tol * scale:
-            raise InvalidInput(f"{name} is asymmetric beyond tolerance")
+        n = m.shape[0]
+        diff = np.empty((min(n, _SYM_TILE),) * 2)
+        for i in range(0, n, _SYM_TILE):
+            for j in range(i, n, _SYM_TILE):
+                upper = m[i : i + _SYM_TILE, j : j + _SYM_TILE]
+                d = diff[: upper.shape[0], : upper.shape[1]]
+                np.subtract(upper, m[j : j + _SYM_TILE, i : i + _SYM_TILE].T, out=d)
+                if float(np.abs(d, out=d).max()) > tol * scale:
+                    raise InvalidInput(f"{name} is asymmetric beyond tolerance")
 
 
 # Below n = 20 r, syevr's tridiagonal reduction is as fast as Lanczos
@@ -52,14 +66,12 @@ def check_symmetric(m: Matrix, name: str, tol: float) -> None:
 _LANCZOS_ROWS_PER_PAIR = 20
 
 
-def sym_eig(s: Matrix, tol: float = 1e-10, top: int | None = None,
-            _checked: bool = False) -> tuple[np.ndarray, Matrix]:
+def sym_eig(s: Matrix, tol: float = 1e-10, top: int | None = None) -> tuple[np.ndarray, Matrix]:
     """Eigendecomposition of a symmetric matrix, eigenvalues descending.
 
     With ``top`` only the ``top`` largest eigenpairs are returned (all n by
     default). Asymmetry beyond ``tol`` (scaled by max(1, max|S|)) is
-    rejected, unless the caller passes ``_checked`` for a matrix it built
-    from one that passed the check. The input is not modified. The solver depends on the shape
+    rejected. The input is not modified. The solver depends on the shape
     alone: ARPACK's Lanczos (``eigsh``) to machine precision when
     n >= 20 * top, from a seeded start vector so that reruns give the same
     bits; otherwise, or when ARPACK raises, LAPACK ``syevr`` (MRRR) over an
@@ -72,8 +84,7 @@ def sym_eig(s: Matrix, tol: float = 1e-10, top: int | None = None,
     top = n if top is None else int(top)
     if not min(n, 1) <= top <= n:
         raise InvalidInput(f"top must be in [1, {n}], got {top}")
-    if not _checked:
-        check_symmetric(m, "matrix", tol)
+    check_symmetric(m, "matrix", tol)
     if 1 <= top <= n // _LANCZOS_ROWS_PER_PAIR:
         from scipy.sparse import linalg as sparse_linalg  # imported here: it adds 4 MB of RSS
 

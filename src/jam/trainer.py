@@ -16,15 +16,14 @@ gradient of a step is one vector of the same layout, so clipping, AdamW and
 the best/initial snapshots each work on one array.
 
 The language autoencoder reconstructs positive and hard-negative texts in
-every objective (hard negatives must be encodable at evaluation time); they
-go through it as one stacked pass, and gradients from the alignment loss
-reach it through both halves.
+every objective (hard negatives must be encodable at evaluation time);
+gradients from the alignment loss reach it through both text passes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -111,7 +110,15 @@ class TrainHistory:
     seed: int = 0
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "epochs": self.epochs,
+            "validations": self.validations,
+            "best_score": self.best_score,
+            "best_epoch": self.best_epoch,
+            "stop_epoch": self.stop_epoch,
+            "stop_reason": self.stop_reason,
+            "seed": self.seed,
+        }
 
 
 class EarlyStopping:
@@ -181,6 +188,16 @@ def validate(model: TrainedJAM, ds: PairedDataset) -> float:
     return recall_binary(zv, zlp, zln)
 
 
+def _grad_spans(vision: Autoencoder, language: Autoencoder, params: FlatParams) -> list:
+    """[start, stop) of every tensor of `_joint_params` in the order backward
+    writes their gradients: each autoencoder's `grad_order`, vision first,
+    then the logit scale. Clipping sums squares per tensor in this order,
+    which fixes the rounding of the norm and so the trained bits."""
+    names = [f"v.{name}" for name in vision.grad_order()]
+    names += [f"l.{name}" for name in language.grad_order()]
+    return params.spans(names + [name for name in ("logit_scale",) if name in params])
+
+
 def evaluate(model: TrainedJAM, ds: PairedDataset, seed: int) -> RetrievalResult:
     """Binary and 5-way retrieval on eval-mode latents, seeded distractors."""
     zv = model.encode_vision(ds.images)
@@ -194,30 +211,30 @@ def evaluate(model: TrainedJAM, ds: PairedDataset, seed: int) -> RetrievalResult
     )
 
 
-def train_step(vision, language, params: FlatParams, xv, xlp, xln, lam, alpha, cfg: TrainConfig, rng):
+def train_step(vision, language, params: FlatParams, xv, xlp, xln, lam, alpha, cfg: TrainConfig, rng,
+               grads: FlatParams | None = None):
     """Objective and gradients of one joint step on one batch.
 
     ``params`` is the `_joint_params` both autoencoders are bound to; the
-    logit scale is read from it when it holds one. Forwards the images, then
-    the positive and hard-negative texts stacked as one 2B-row language pass,
-    in train mode (drawing dropout from ``rng`` in that order), adds the
-    lambda-weighted reconstruction of both autoencoders to the alignment
-    objective and backpropagates through both. Returns (total, grads, parts):
-    ``grads`` is a new ``params.like()`` holding the gradient, or None, with
-    no backward run, when ``total`` is not finite; ``parts`` is
-    `losses.alignment_grads`' parts plus ``recon_v``, ``recon_l``, ``align``
-    and ``total``.
+    logit scale is read from it when it holds one. Forwards images, positive
+    texts and hard-negative texts in train mode (in that order, drawing
+    dropout from ``rng``), adds the lambda-weighted reconstruction of both
+    autoencoders to the alignment objective and backpropagates through both.
+    Returns (total, grads, parts): ``grads`` is the ``params.like()`` passed
+    in, or a new one, now holding the gradient, or None, with no backward
+    run, when ``total`` is not finite; ``parts`` is `losses.alignment_grads`'
+    parts plus ``recon_v``, ``recon_l``, ``align`` and ``total``.
     """
     log_scale = float(params["logit_scale"][0]) if "logit_scale" in params else None
-    n = len(xlp)
-    x_l = np.concatenate([xlp, xln])
     zv, xhat_v, tape_v = vision.forward(xv, "train", rng)
-    z_l, xhat_l, tape_l = language.forward(x_l, "train", rng)
+    zlp, xhat_lp, tape_lp = language.forward(xlp, "train", rng)
+    zln, xhat_ln, tape_ln = language.forward(xln, "train", rng)
 
     recon_v = losses.mse_recon(xv, xhat_v)
-    recon_l = losses.mse_recon(x_l, xhat_l)
+    x_l = np.concatenate([xlp, xln])
+    recon_l = losses.mse_recon(x_l, np.concatenate([xhat_lp, xhat_ln]))
     align, d_zv, d_zlp, d_zln, d_ls, parts = losses.alignment_grads(
-        cfg.loss_cfg.objective, zv, z_l[:n], z_l[n:], alpha=alpha, sim_cfg=cfg.sim_cfg,
+        cfg.loss_cfg.objective, zv, zlp, zln, alpha=alpha, sim_cfg=cfg.sim_cfg,
         log_scale=log_scale, include_positive=cfg.loss_cfg.include_positive_in_denominator,
     )
     total = lam * (recon_v + recon_l) + align
@@ -225,17 +242,26 @@ def train_step(vision, language, params: FlatParams, xv, xlp, xln, lam, alpha, c
     if not math.isfinite(total):
         return total, None, parts
 
-    # A new gradient vector each step, made while the activations are alive,
-    # lands near the top of glibc's heap and the caller keeps it until the
-    # next step's exists: free() then never sees a large free top to trim, and
-    # each forward reuses mapped memory. One vector made before training sits
-    # low instead; at batch 1024 glibc then returned ~350 MB after every step
-    # and the next forward faulted it back in (~25 K minor faults).
-    grads = params.like()
+    # `train` hands back the vector its first step made here, after the
+    # forward passes: it lands above their activations in glibc's heap and
+    # stays live there, so the free()s that end a step never leave a large
+    # free top to trim, and each forward reuses mapped memory. Made before
+    # the first forward, it sits below them instead; at batch 1024 glibc then
+    # returned ~350 MB after every step and the next forward faulted it back
+    # in (~25 K minor faults a step).
+    if grads is None:
+        grads = params.like()
     d_xhat_v = lam * 2.0 * (xhat_v - xv) / xv.size
+    scale_l = lam * 2.0 / x_l.size
+    d_xhat_lp = scale_l * (xhat_lp - xlp)
+    d_xhat_ln = scale_l * (xhat_ln - xln)
+
     vision.backward(tape_v, d_zv, d_xhat_v, grads.section("v."))
-    d_xhat_l = lam * 2.0 / x_l.size * (xhat_l - x_l)
-    language.backward(tape_l, np.concatenate([d_zlp, d_zln]), d_xhat_l, grads.section("l."))
+    grads_l = grads.section("l.")
+    language.backward(tape_lp, d_zlp, d_xhat_lp, grads_l)
+    grads_ln = grads_l.like()
+    language.backward(tape_ln, d_zln, d_xhat_ln, grads_ln)
+    grads_l.vector += grads_ln.vector
     if "logit_scale" in grads:
         grads["logit_scale"][0] = d_ls
     return total, grads, parts
@@ -263,7 +289,13 @@ def train(train_ds: PairedDataset, val_ds: PairedDataset, cfg: TrainConfig, seed
     language = Autoencoder(cfg.ae_cfg_language, rng_init_l)
     learnable = cfg.sim_cfg.logit_scale_mode == "learnable"
     params = _joint_params(vision, language, cfg.sim_cfg.logit_scale_init if learnable else None)
-    opt = AdamW(params, lr=cfg.lr0, weight_decay=cfg.weight_decay, no_decay={"logit_scale"})
+    opt = AdamW(
+        params,
+        lr=cfg.lr0,
+        weight_decay=cfg.weight_decay,
+        no_decay={"logit_scale"},
+    )
+    grad_spans = _grad_spans(vision, language, params)
 
     def current_log_scale():
         return float(params["logit_scale"][0]) if learnable else None
@@ -282,6 +314,7 @@ def train(train_ds: PairedDataset, val_ds: PairedDataset, cfg: TrainConfig, seed
     n = train_ds.n
     stop_epoch = 0
     stop_reason = "completed"
+    grads = None  # the gradient vector, made by the first step
 
     for epoch in range(cfg.epochs):
         lr = cosine_lr(epoch, horizon, cfg.lr0, cfg.lr_min)
@@ -298,16 +331,19 @@ def train(train_ds: PairedDataset, val_ds: PairedDataset, cfg: TrainConfig, seed
                 continue  # a 1-row tail cannot form a contrastive denominator
             total, grads, parts = train_step(
                 vision, language, params, train_ds.images[idx], train_ds.positives[idx],
-                train_ds.negatives[idx], lam, alpha, cfg, rng_dropout,
+                train_ds.negatives[idx], lam, alpha, cfg, rng_dropout, grads,
             )
             if not math.isfinite(total):
                 aborted = True
                 break
 
-            norms.append(clip_grad_norm(grads.vector, 1.0))
+            norms.append(clip_grad_norm(grads.vector, 1.0, grad_spans))
             opt.step(grads.vector, lr=lr)
             if learnable:
-                np.clip(params["logit_scale"], 0.0, cfg.sim_cfg.logit_scale_max, out=params["logit_scale"])
+                np.clip(
+                    params["logit_scale"], 0.0, cfg.sim_cfg.logit_scale_max,
+                    out=params["logit_scale"],
+                )
 
             for key in sums:
                 sums[key] += parts[key]
@@ -316,20 +352,27 @@ def train(train_ds: PairedDataset, val_ds: PairedDataset, cfg: TrainConfig, seed
             history.stop_epoch = epoch
             history.stop_reason = "aborted_nonfinite"
             salvage = restore(best_snap if best_snap is not None else init_snap)
-            raise NonFiniteLoss(f"non-finite loss at epoch {epoch}", history=history, model=salvage)
+            raise NonFiniteLoss(
+                f"non-finite loss at epoch {epoch}", history=history, model=salvage
+            )
 
         denom = max(len(norms), 1)
-        history.epochs.append({
-            "epoch": epoch,
-            **{key: value / denom for key, value in sums.items()},
-            "lambda": lam,
-            "alpha": alpha,
-            "lr": lr,
-            "logit_scale": cfg.sim_cfg.scale(current_log_scale()),
-            "grad_norm_mean": sum(norms) / denom,
-            "grad_norm_max": max(norms, default=0.0),
-            "clip_fraction": sum(norm > 1.0 for norm in norms) / denom,
-        })
+        history.epochs.append(
+            {
+                "epoch": epoch,
+                "recon_v": sums["recon_v"] / denom,
+                "recon_l": sums["recon_l"] / denom,
+                "align": sums["align"] / denom,
+                "total": sums["total"] / denom,
+                "lambda": lam,
+                "alpha": alpha,
+                "lr": lr,
+                "logit_scale": cfg.sim_cfg.scale(current_log_scale()),
+                "grad_norm_mean": sum(norms) / denom,
+                "grad_norm_max": max(norms, default=0.0),
+                "clip_fraction": sum(norm > 1.0 for norm in norms) / denom,
+            }
+        )
         stop_epoch = epoch + 1
 
         if (epoch + 1) % cfg.validate_every == 0:
@@ -361,7 +404,12 @@ class SweepEntry:
     stop_reason: str
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "alpha": self.alpha,
+            "best_val_recall": self.best_val_recall,
+            "stop_epoch": self.stop_epoch,
+            "stop_reason": self.stop_reason,
+        }
 
 
 @dataclass
@@ -370,7 +418,10 @@ class SweepReport:
     best_alpha: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "entries": [e.to_dict() for e in self.entries],
+            "best_alpha": self.best_alpha,
+        }
 
 
 def sweep_alpha(train_ds, val_ds, cfg: TrainConfig, alphas, seed: int | None = None) -> SweepReport:
@@ -385,8 +436,17 @@ def sweep_alpha(train_ds, val_ds, cfg: TrainConfig, alphas, seed: int | None = N
             loss_cfg=replace(cfg.loss_cfg, objective="spread", alpha=float(alpha), alpha_schedule=None),
         )
         model, history = train(train_ds, val_ds, run_cfg, seed=seed)
-        score = validate(model, val_ds) if history.best_score is None else history.best_score
-        entries.append(SweepEntry(float(alpha), float(score), history.stop_epoch, history.stop_reason))
+        score = history.best_score
+        if score is None:
+            score = validate(model, val_ds)
+        entries.append(
+            SweepEntry(
+                alpha=float(alpha),
+                best_val_recall=float(score),
+                stop_epoch=history.stop_epoch,
+                stop_reason=history.stop_reason,
+            )
+        )
     best = max(entries, key=lambda e: e.best_val_recall)
     return SweepReport(entries=entries, best_alpha=best.alpha)
 

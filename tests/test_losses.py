@@ -342,7 +342,7 @@ class TestTotalObjective:
         assert abs(total - (lam * (parts["recon_v"] + parts["recon_l"]) + parts["align"])) < 1e-12
         # with dropout 0 the train-mode forward is the eval-mode forward
         xhat_v = vision.forward(xv, "eval")[1]
-        xhat_l = language.forward(np.concatenate([xlp, xln]), "eval")[1]
+        xhat_l = np.concatenate([language.forward(xlp, "eval")[1], language.forward(xln, "eval")[1]])
         assert parts["recon_v"] == mse_recon(xv, xhat_v)
         assert parts["recon_l"] == mse_recon(np.concatenate([xlp, xln]), xhat_l)
         assert set(parts) == {

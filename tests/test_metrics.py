@@ -325,19 +325,6 @@ class TestKpca:
         ref *= np.sign(peak)
         np.testing.assert_allclose(kpca_reduce(x, r), ref, rtol=0, atol=1e-9)
 
-    def test_one_symmetry_check_per_kernel(self, monkeypatch):
-        from jam import numkit
-
-        x = RngStream(24).gaussian(30, 4)
-        want = kpca_reduce(x, 5)
-        checked = []
-        for module in (metrics, numkit):
-            monkeypatch.setattr(module, "check_symmetric", lambda m, *args: checked.append(m.shape))
-        assert kpca_reduce(x, 5).tobytes() == want.tobytes()
-        assert checked == [(30, 30)]
-        sym_eig(np.eye(3))  # the public solver still checks its input
-        assert checked == [(30, 30), (3, 3)]
-
     def test_rank_deficient_kernel_raises(self):
         # four distinct points: the centered kernel has rank 3
         x = np.repeat(RngStream(22).gaussian(4, 3), 5, axis=0)

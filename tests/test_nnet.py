@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -224,6 +225,24 @@ class TestAutoencoder:
         with pytest.raises(UsageError):
             ae.backward(tape, np.zeros_like(z), np.zeros_like(xhat))
 
+    def test_grad_order_is_backward_write_order(self):
+        cfg = AutoencoderConfig(7, [6, 5], 4, dropout=0.1)
+        ae = Autoencoder(cfg, RngStream(3))
+        x = RngStream(4).gaussian(5, 7)
+
+        def backward(out=None):
+            z, xhat, tape = ae.forward(x, "train", RngStream(99))
+            return ae.backward(tape, z, xhat - x, out)[0]
+
+        grads = backward()
+        assert list(grads) == ae.grad_order()
+        assert sorted(ae.grad_order()) == sorted(ae.parameters())
+        flat = FlatParams(ae.parameters()).like()
+        written = backward(flat)
+        assert list(written) == list(ae.parameters())  # the order of ``out``
+        for name, g in grads.items():
+            assert written[name] is flat[name] and g.tobytes() == flat[name].tobytes()
+
     def test_zero_upstream_zero_grads(self):
         ae = Autoencoder(AutoencoderConfig(5, [4], 3, dropout=0.0), RngStream(1))
         z, xhat, tape = ae.forward(RngStream(2).gaussian(3, 5))
@@ -294,7 +313,7 @@ def _textbook_adamw(params, grads, t, lr, wd, no_decay, beta1=0.9, beta2=0.999, 
         if name not in no_decay:
             p -= lr * wd * p
         m[...] = beta1 * m + (1 - beta1) * g
-        v[...] = beta2 * v + (1 - beta2) * g * g
+        v[...] = beta2 * v + (1 - beta2) * (g * g)
         p -= lr * (m / (1 - beta1**t)) / (np.sqrt(v / (1 - beta2**t)) + eps)
     return state
 
@@ -346,7 +365,8 @@ class TestAdamW:
             opt.step(np.concatenate([g.ravel() for g in grads.values()]), lr=lr)
             state = _textbook_adamw(ref, grads, t, lr, 0.05, {"logit_scale"}, state=state)
         for name in arrays:
-            np.testing.assert_allclose(params[name], ref[name], rtol=0, atol=1e-12)
+            # the same float operations on each element: the same bits
+            assert params[name].tobytes() == ref[name].tobytes()
         assert params["logit_scale"][0] != arrays["logit_scale"][0]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -385,8 +405,14 @@ class TestFlatParams:
         params["y"][0] = -1.0
         assert params.vector[6] == -1.0
         assert [params.name_at(i) for i in range(params.vector.size)] == ["x"] * 6 + ["y"] + ["z"] * 4
-        nested = FlatParams({"v.a": [1.0], "v.b": [2.0], "l.a": [3.0]})
-        assert list(nested.section("v.")) == ["a", "b"] and nested.section("l.")["a"] is nested["l.a"]
+        nested = FlatParams({"v.a": [1.0], "v.b": [2.0, 2.5], "l.a": [3.0]})
+        v, lang = nested.section("v."), nested.section("l.")
+        assert list(v) == ["a", "b"] and list(lang) == ["a"]
+        assert v.vector.base is nested.vector and v.vector.tolist() == [1.0, 2.0, 2.5]
+        lang["a"][0] = -3.0
+        assert nested["l.a"][0] == -3.0 and lang.vector.tolist() == [-3.0]
+        with pytest.raises(UsageError, match="not adjacent"):
+            FlatParams({"v.a": [1.0], "l.a": [2.0], "v.b": [3.0]}).section("v.")
 
 
 class TestSchedules:
@@ -421,6 +447,21 @@ class TestClip:
         clip_grad_norm(grad, 1.0)
         cos = np.sum(g * grad) / (np.linalg.norm(g) * np.linalg.norm(grad))
         assert abs(cos - 1.0) < 1e-12
+
+    def test_spans_sum_per_tensor_in_their_order(self):
+        r = RngStream(6)
+        grads = {"a": r.gaussian(40, 30), "b": r.normal(7), "c": r.gaussian(3, 300), "d": r.normal(1)}
+        flat = FlatParams(grads)
+        order = ["c", "a", "d", "b"]
+        total = 0.0
+        for name in order:  # a norm over named tensors, summed tensor by tensor
+            total += float(np.sum(grads[name] ** 2))
+        assert global_grad_norm(flat.vector, flat.spans(order)) == math.sqrt(total)
+        assert global_grad_norm(flat.vector) == pytest.approx(math.sqrt(total), rel=1e-14)
+        grad = flat.vector * 0.01
+        before = global_grad_norm(grad, flat.spans(order))
+        assert clip_grad_norm(grad, 0.25, flat.spans(order)) == before > 0.25
+        assert global_grad_norm(grad) == pytest.approx(0.25, rel=1e-14)
 
     @given(st.integers(0, 2**31 - 1), st.floats(0.1, 20.0))
     @settings(max_examples=30, deadline=None)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jam.errors import InvalidInput
-from jam.numkit import RngStream, center_columns, svd, sym_eig
+from jam.numkit import RngStream, center_columns, check_symmetric, svd, sym_eig
 
 
 class TestSvd:
@@ -65,6 +65,20 @@ class TestSymEig:
             sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
         with pytest.raises(InvalidInput):
             sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]), top=1)
+
+    @pytest.mark.parametrize("n", [255, 256, 600])
+    def test_asymmetry_found_in_any_tile(self, n):
+        g = RngStream(n).gaussian(n, n)
+        s = (g + g.T) / 2
+        check_symmetric(s, "s", 0.0)
+        scale = max(1.0, np.abs(s).max())
+        for i, j in ((1, 0), (n - 1, 0), (n // 2, n - 1), (n - 1, n - 2)):
+            bad = s.copy()
+            bad[i, j] += 3e-10 * scale  # over tol = 1e-10 once mirrored
+            with pytest.raises(InvalidInput, match="s is asymmetric"):
+                check_symmetric(bad, "s", 1e-10)
+            bad[i, j] = s[i, j] + 0.5e-10 * scale
+            check_symmetric(bad, "s", 1e-10)
 
     @pytest.mark.parametrize("k", [1, 7, 60])
     def test_top_equals_leading_pairs_of_full(self, k):

@@ -12,6 +12,7 @@ from jam.numkit import RngStream
 from jam.trainer import (
     EarlyStopping,
     TrainConfig,
+    _grad_spans,
     _joint_params,
     _named_params,
     evaluate,
@@ -230,22 +231,18 @@ class TestFlatLayout:
         # the new gradient vector started as NaN: every element was written
         assert grads.vector.size == params.vector.size and np.isfinite(grads.vector).all()
 
-    def test_one_language_pass_per_step(self, tiny_data, monkeypatch):
-        tr, _, _ = tiny_data
-        cfg = tiny_cfg()
-        vision, language = self._pair(cfg)
-        params = _joint_params(vision, language, cfg.sim_cfg.logit_scale_init)
-        rows = []
-        forward = Autoencoder.forward
-
-        def counting(self, x, mode="eval", rng=None):
-            rows.append((self is language, len(x)))
-            return forward(self, x, mode, rng)
-
-        monkeypatch.setattr(Autoencoder, "forward", counting)
-        train_step(vision, language, params, tr.images[:8], tr.positives[:8], tr.negatives[:8],
-                   1.0, 0.5, cfg, RngStream(3))
-        assert rows == [(False, 8), (True, 16)]
+    def test_grad_spans_cover_the_vector_in_backward_order(self, tiny_data):
+        vision, language = self._pair(tiny_cfg())
+        params = _joint_params(vision, language, 0.5)
+        spans = _grad_spans(vision, language, params)
+        covered = np.zeros(params.vector.size, dtype=int)
+        for start, stop in spans:
+            covered[start:stop] += 1
+        assert (covered == 1).all()
+        names = [params.name_at(start) for start, _ in spans]
+        assert names == [f"v.{n}" for n in vision.grad_order()] + [
+            f"l.{n}" for n in language.grad_order()] + ["logit_scale"]
+        assert all(stop - start == params[name].size for name, (start, stop) in zip(names, spans))
 
 
 class TestValidateAndEvaluate:
