@@ -314,7 +314,8 @@ class Autoencoder:
     def backward(self, tape: Tape, d_z, d_xhat, out: dict | None = None):
         """Exact reverse-mode gradients; returns (named grads, dX). Each named
         gradient is written into ``out[name]`` when ``out`` has that name
-        (a view of a flat gradient, say), else into a new array."""
+        (a view of a flat gradient, say), else into a new array; the names
+        come in ``out``'s order, then in `grad_order`."""
         if tape.consumed:
             raise UsageError("tape already consumed")
         tape.consumed = True
@@ -400,6 +401,7 @@ class FlatParams(dict):
         shapes = [np.shape(a) for a in arrays.values()]
         self.offsets = np.cumsum([0] + [math.prod(shape) for shape in shapes])
         self.vector = np.empty(int(self.offsets[-1])) if vector is None else vector
+        self._sections = {}
         for (name, arr), shape, start, stop in zip(arrays.items(), shapes, self.offsets,
                                                    self.offsets[1:]):
             self[name] = self.vector[start:stop].reshape(shape)
@@ -413,13 +415,17 @@ class FlatParams(dict):
 
     def section(self, prefix: str) -> FlatParams:
         """The arrays whose names start with ``prefix``, keyed without it: a
-        `FlatParams` over their part of ``vector``, so they must be adjacent."""
-        index = [i for i, name in enumerate(self) if name.startswith(prefix)]
-        if index != list(range(index[0], index[-1] + 1)):
-            raise UsageError(f"arrays named {prefix!r}* are not adjacent")
-        names = list(self)[index[0] : index[-1] + 1]
-        vector = self.vector[self.offsets[index[0]] : self.offsets[index[-1] + 1]]
-        return FlatParams({name[len(prefix) :]: self[name] for name in names}, vector)
+        `FlatParams` over their part of ``vector``, so they must be adjacent.
+        Made on the first call for each prefix, then reused."""
+        if prefix not in self._sections:
+            index = [i for i, name in enumerate(self) if name.startswith(prefix)]
+            if index != list(range(index[0], index[-1] + 1)):
+                raise UsageError(f"arrays named {prefix!r}* are not adjacent")
+            names = list(self)[index[0] : index[-1] + 1]
+            vector = self.vector[self.offsets[index[0]] : self.offsets[index[-1] + 1]]
+            arrays = {name[len(prefix) :]: self[name] for name in names}
+            self._sections[prefix] = FlatParams(arrays, vector)
+        return self._sections[prefix]
 
     def spans(self, names) -> list:
         """[start, stop) of each named array in the vector, in the given order."""

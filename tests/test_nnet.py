@@ -407,7 +407,7 @@ class TestFlatParams:
         assert [params.name_at(i) for i in range(params.vector.size)] == ["x"] * 6 + ["y"] + ["z"] * 4
         nested = FlatParams({"v.a": [1.0], "v.b": [2.0, 2.5], "l.a": [3.0]})
         v, lang = nested.section("v."), nested.section("l.")
-        assert list(v) == ["a", "b"] and list(lang) == ["a"]
+        assert list(v) == ["a", "b"] and list(lang) == ["a"] and nested.section("v.") is v
         assert v.vector.base is nested.vector and v.vector.tolist() == [1.0, 2.0, 2.5]
         lang["a"][0] = -3.0
         assert nested["l.a"][0] == -3.0 and lang.vector.tolist() == [-3.0]
