@@ -74,7 +74,7 @@ class TestSymEig:
         scale = max(1.0, np.abs(s).max())
         for i, j in ((1, 0), (n - 1, 0), (n // 2, n - 1), (n - 1, n - 2)):
             bad = s.copy()
-            bad[i, j] += 3e-10 * scale  # over tol = 1e-10 once mirrored
+            bad[i, j] += 3e-10 * scale  # three times the tolerance
             with pytest.raises(InvalidInput, match="s is asymmetric"):
                 check_symmetric(bad, "s", 1e-10)
             bad[i, j] = s[i, j] + 0.5e-10 * scale
