@@ -52,12 +52,21 @@ def recall_binary(zv, zlp, zln) -> float:
 
 
 def sample_distractors(n: int, rng: RngStream) -> np.ndarray:
-    """For each query i, three distinct other-sample indices (j != i)."""
-    out = np.empty((n, 3), dtype=np.int64)
-    for i in range(n):
-        draw = rng.choice(n - 1, 3, replace=False)
-        out[i] = np.where(draw >= i, draw + 1, draw)
-    return out
+    """For each query i, three distinct other-sample indices (j != i).
+
+    One draw for all queries: pick k of row i is uniform in [0, n - 1 - k),
+    then shifted past the indices row i has already taken (i itself and its
+    earlier picks) in ascending order. That maps it onto the n - 1 - k
+    indices still free, so each row is uniform over ordered triples of
+    distinct non-self indices.
+    """
+    if n < 4:
+        raise InvalidInput(f"distractors need n >= 4, got {n}")
+    rows = np.column_stack([np.arange(n), rng.integers(np.arange(n - 1, n - 4, -1), (n, 3))])
+    for k in range(1, 4):
+        for taken in np.sort(rows[:, :k], axis=1).T:
+            rows[:, k] += rows[:, k] >= taken
+    return rows[:, 1:]
 
 
 def recall_5way(zv, zlp, zln, rng: RngStream) -> float:

@@ -142,6 +142,10 @@ class RngStream:
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 
+    def integers(self, high, shape) -> np.ndarray:
+        """Uniform int64 draws in [0, high); ``high`` broadcasts against ``shape``."""
+        return self._gen.integers(0, high, size=shape)
+
     def choice(self, n: int, size: int, replace: bool = False) -> np.ndarray:
         return self._gen.choice(n, size=size, replace=replace)
 

@@ -9,6 +9,9 @@ and the 0.85 floor on spread's mean binary recall.
 
 import json
 import math
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -287,18 +290,32 @@ class TestCriterion4DecisionRule:
         assert checks["spread significantly better than con"]
 
 
+def _train_benchmark(objective, seed):
+    """One criterion-4 training run at module level, so a spawned worker can import it."""
+    ds, _, _ = synth_generate(benchmark_synth(seed))
+    model, history, result, (_, _, test_ds) = train_on_split(ds, benchmark_train_config(objective), seed)
+    return model, history, result, test_ds
+
+
 @pytest.mark.slow
 class TestCriterion4LossOrdering:
-    def test_ordering(self):
+    def test_ordering(self, monkeypatch):
+        objectives = ("con", "negcon", "spread")
+        jobs = [(objective, seed) for objective in objectives for seed in BENCHMARK_SEEDS]
+        # Each run depends only on its (objective, seed), so the nine run in
+        # worker processes with one BLAS thread each; the BLAS thread count does
+        # not change their bits. A worker's error re-raises here with its traceback.
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        workers = min(len(os.sched_getaffinity(0)), 3)
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+            runs = dict(zip(jobs, pool.map(_train_benchmark, *zip(*jobs))))
         hits = {}
         rows = []
         recalls = []
-        for objective in ("con", "negcon", "spread"):
-            cfg = benchmark_train_config(objective)
+        for objective in objectives:
             per_seed = []
             for seed in BENCHMARK_SEEDS:
-                ds, _, _ = synth_generate(benchmark_synth(seed))
-                model, history, result, (_, _, test_ds) = train_on_split(ds, cfg, seed)
+                model, history, result, test_ds = runs[objective, seed]
                 seed_hits = evalkit.binary_hits(
                     model.encode_vision(test_ds.images),
                     model.encode_language(test_ds.positives),
@@ -323,6 +340,7 @@ class TestCriterion4LossOrdering:
             f"test recall seeds {'/'.join(map(str, BENCHMARK_SEEDS))}: {', '.join(recalls)}; {detail}; "
             f"sign tests at {SIGN_TEST_LEVEL} over {len(hits['spread'])} paired queries",
         )
+        print(table)
 
 
 # -------------------------------------------------------------------------

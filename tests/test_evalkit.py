@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -77,12 +79,6 @@ class TestRecall5Way:
         with pytest.raises(InvalidInput):
             recall_5way(z, z, z, RngStream(0))
 
-    def test_distractors_distinct_and_not_self(self):
-        idx = sample_distractors(30, RngStream(3))
-        for i, row in enumerate(idx):
-            assert i not in row
-            assert len(set(row.tolist())) == 3
-
     def test_never_exceeds_binary(self):
         # 5-way success requires beating the hard negative plus 3 more rivals
         for seed in range(20):
@@ -90,6 +86,49 @@ class TestRecall5Way:
             zv, zlp, zln = r.gaussian(60, 6), r.gaussian(60, 6), r.gaussian(60, 6)
             five = recall_5way(zv, zlp, zln, RngStream(seed + 1000))
             assert five <= recall_binary(zv, zlp, zln) + 1e-12
+
+    def test_distractors_distinct_and_not_self(self):
+        for n in (4, 5, 30, 2000):
+            idx = sample_distractors(n, RngStream(3))
+            assert idx.shape == (n, 3)
+            assert idx.min() >= 0 and idx.max() < n
+            for i, row in enumerate(idx):
+                assert i not in row
+                assert len(set(row.tolist())) == 3
+
+    def test_distractors_pick_the_free_index_of_each_draw(self):
+        # Reference: pick k of row i is the draw-th index not yet taken by row i.
+        n = 40
+        draws = RngStream(5).integers(np.array([n - 1, n - 2, n - 3]), (n, 3))
+        expected = []
+        for i, row in enumerate(draws):
+            taken = [i]
+            for r in row:
+                taken.append([j for j in range(n) if j not in taken][r])
+            expected.append(taken[1:])
+        np.testing.assert_array_equal(sample_distractors(n, RngStream(5)), expected)
+
+    def test_distractors_same_seed_same_draws(self):
+        a = sample_distractors(500, RngStream(17))
+        b = sample_distractors(500, RngStream(17))
+        np.testing.assert_array_equal(a, b)
+        assert not np.array_equal(a, sample_distractors(500, RngStream(18)))
+
+    def test_distractors_uniform_over_the_others(self):
+        # Query 0 of n = 6 takes three of its five others, each with p = 3/5;
+        # over 3000 seeds a count lies within 5 binomial sds of 1800 (about 134).
+        seeds, p = 3000, 3 / 5
+        counts = np.zeros(6, dtype=np.int64)
+        for seed in range(seeds):
+            counts[sample_distractors(6, RngStream(seed))[0]] += 1
+        assert counts[0] == 0
+        bound = 5 * math.sqrt(seeds * p * (1 - p))
+        assert np.all(np.abs(counts[1:] - seeds * p) <= bound), counts
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_distractors_need_four(self, n):
+        with pytest.raises(InvalidInput):
+            sample_distractors(n, RngStream(0))
 
 
 class TestAggregate:

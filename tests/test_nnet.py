@@ -292,7 +292,7 @@ def _sigmoid_two_branch(a):
 
 class TestSigmoid:
     def test_bit_equal_to_two_branch_form(self):
-        special = [0.0, -0.0, 1e-300, -1e-300, 30.0, -30.0, 800.0, -800.0, np.nan]
+        special = [0.0, -0.0, 1e-300, -1e-300, 30.0, -30.0, 800.0, -800.0, np.inf, -np.inf, np.nan]
         a = np.concatenate([RngStream(31).normal(4000) * 10.0, special]).reshape(-1, 1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -302,6 +302,12 @@ class TestSigmoid:
         nan = np.isnan(want)
         np.testing.assert_array_equal(np.isnan(got), nan)
         assert got[~nan].tobytes() == want[~nan].tobytes()
+
+    def test_bit_equal_at_encode_block_shape(self):
+        # a C-contiguous mixed-sign block of the shape `encode` runs
+        a = RngStream(32).normal((nnet._ENCODE_BLOCK_ROWS, 128)) * 8.0
+        assert a.flags.c_contiguous and (a < 0).any() and (a > 0).any()
+        assert nnet._sigmoid(a).tobytes() == _sigmoid_two_branch(a).tobytes()
 
 
 def _textbook_adamw(params, grads, t, lr, wd, no_decay, beta1=0.9, beta2=0.999, eps=1e-8, state=None):

@@ -222,3 +222,13 @@ class TestRngStream:
         c1, c2 = parent1.fork(), parent2.fork()
         np.testing.assert_array_equal(c1.gaussian(4, 4), c2.gaussian(4, 4))
         assert not np.array_equal(RngStream(9).gaussian(4, 4), RngStream(9).fork().gaussian(4, 4))
+
+    def test_integers_array_high(self):
+        high = np.array([5, 2, 1])
+        draws = RngStream(3).integers(high, (4000, 3))
+        assert draws.shape == (4000, 3)
+        assert draws.min() >= 0
+        assert np.all(draws.max(axis=0) == high - 1)  # each column reaches its bound minus one
+        assert np.all(draws[:, 2] == 0)
+        np.testing.assert_array_equal(draws, RngStream(3).integers(high, (4000, 3)))
+        assert not np.array_equal(draws, RngStream(4).integers(high, (4000, 3)))
