@@ -1,10 +1,17 @@
 """Command-line surface: synth -> metrics -> train -> eval -> sweep-alpha.
 
 Every command takes an optional JSON config (``--config``) merged with flag
-overrides (flags mirror config keys 1:1 in kebab-case, unknown config keys
-are rejected) and embeds the resolved config, seed and format version into
-each artifact it writes. Reruns with identical config produce bit-identical
-files on one numpy/OpenBLAS build; another BLAS kernel changes the bits.
+overrides (flags mirror config keys 1:1 in kebab-case; unknown keys and
+values of the wrong type are config errors) and embeds the resolved config,
+seed and format version into each artifact it writes. Reruns with identical
+config produce bit-identical files on one numpy/OpenBLAS build; another BLAS
+kernel changes the bits.
+
+The keys, their types and their defaults come from the fields of the config
+dataclasses (`embed_io.SynthConfig`, `metrics.MetricConfig`, and
+`trainer.TrainConfig` with the configs it nests), less a short hidden list
+per command; ``_COMMAND_KEYS`` adds the few keys that are not config fields
+(paths, the dtype, the eval split, seeds and the sweep's alphas).
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numerical abort.
 """
@@ -15,9 +22,9 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import MISSING, asdict, fields, is_dataclass
 from pathlib import Path
-
-import numpy as np
+from typing import Callable, NamedTuple, get_type_hints
 
 from . import embed_io, metrics, trainer
 from .errors import (
@@ -52,97 +59,113 @@ def _float_list(text):
     return [float(tok) for tok in str(text).split(",") if tok != ""]
 
 
-# key -> (parser type, default); None defaults mean "required" or "unset"
-_SYNTH_KEYS = {
-    "n": (int, 500),
-    "latent_dim": (int, 16),
-    "context_dims": (int, 12),
-    "fine_dims": (int, 4),
-    "d_v": (int, 64),
-    "d_l": (int, 96),
-    "noise_std": (float, 0.05),
-    "hard_delta": (float, 1.0),
-    "seed": (int, 5),
-    "dtype": (str, "f64"),
-    "out_dir": (str, "synth_out"),
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+class _Type(NamedTuple):
+    """What a key's value is: how a flag's text is parsed, and whether a
+    config-file value fits (an int fits a float; nothing is coerced)."""
+
+    name: str
+    parse: Callable
+    fits: Callable
+
+
+_INT = _Type("an integer", int, _is_int)
+_FLOAT = _Type("a number", float, _is_number)
+_STR = _Type("a string", str, lambda v: isinstance(v, str))
+_BOOL = _Type("true or false", None, lambda v: isinstance(v, bool))  # flags --key / --no-key
+_INTS = _Type("a list of integers", _int_list, lambda v: isinstance(v, list) and all(map(_is_int, v)))
+_FLOATS = _Type("a list of numbers", _float_list, lambda v: isinstance(v, list) and all(map(_is_number, v)))
+
+# config dataclass field annotation -> the type of its key
+_FIELD_TYPES = {
+    int: _INT,
+    float: _FLOAT,
+    float | None: _FLOAT,
+    str: _STR,
+    bool: _BOOL,
+    list[int]: _INTS,
+    tuple[int, ...]: _INTS,
 }
 
-_METRICS_KEYS = {
-    "manifest": (str, None),
-    "out_dir": (str, "metrics_out"),
-    "easy": (str, None),
-    "pca_r": (int, 50),
-    "svcca_k": (int, 10),
-    "svcca_eta": (float, 0.99),
-    "knn_k": (int, 10),
-    "kernel": (str, "linear"),
-    "rbf_gamma": (float, None),
-    "knn_similarity": (str, "inner"),
-}
 
-_TRAIN_KEYS = {
-    "manifest": (str, None),
-    "out_dir": (str, "train_out"),
-    "objective": (str, "spread"),
-    "alpha": (float, 0.5),
-    "seeds": (_int_list, [5, 42, 55]),
-    "epochs": (int, 100),
-    "batch_size": (int, 32),
-    "lr0": (float, 1e-3),
-    "lr_min": (float, 1e-5),
-    "weight_decay": (float, 0.01),
-    "validate_every": (int, 5),
-    "patience": (int, 5),
-    "hidden_dims": (_int_list, [512, 512, 512]),
-    "latent_dim": (int, 256),
-    "dropout": (float, 0.1),
-    "tau": (float, 0.07),
-    "logit_scale_mode": (str, "learnable"),
-    "lambda_start": (float, 1.0),
-    "lambda_end": (float, 0.1),
-    "include_positive_in_denominator": (bool, False),
-}
+class _Key(NamedTuple):
+    type: _Type
+    default: object  # None: unset, or missing when ``required``
+    required: bool = False
 
-_EVAL_KEYS = {
-    "checkpoint": (str, None),
-    "manifest": (str, None),
-    "out_dir": (str, "eval_out"),
-    "split": (str, "test"),
-    "seed": (int, None),
-}
 
-_SWEEP_KEYS = dict(_TRAIN_KEYS)
-_SWEEP_KEYS.update(
-    {
-        "out_dir": (str, "sweep_out"),
-        "alphas": (_float_list, [0.0, 0.25, 0.5, 0.75, 1.0]),
-        "seed": (int, 5),
-    }
-)
-_SWEEP_KEYS.pop("seeds")
+def _field_keys(cls, hidden=()) -> dict:
+    """A key for each field of config dataclass ``cls`` not named in
+    ``hidden``, with the field's default; nested configs add their fields."""
+    keys = {}
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        if is_dataclass(hints[f.name]):
+            keys.update(_field_keys(hints[f.name], hidden))
+        elif f.name not in hidden:
+            default = f.default_factory() if f.default is MISSING else f.default
+            keys[f.name] = _Key(_FIELD_TYPES[hints[f.name]], default)
+    return keys
+
+
+# set per job, not by the user: input widths come from the data, and the
+# alpha schedule, logit-scale bounds and LayerNorm epsilon keep their defaults
+_TRAIN_HIDDEN = ("input_dim", "layernorm_eps", "alpha_schedule", "logit_scale_init", "logit_scale_max")
 
 _COMMAND_KEYS = {
-    "synth": _SYNTH_KEYS,
-    "metrics": _METRICS_KEYS,
-    "train": _TRAIN_KEYS,
-    "eval": _EVAL_KEYS,
-    "sweep-alpha": _SWEEP_KEYS,
+    "synth": {
+        **_field_keys(embed_io.SynthConfig),
+        "dtype": _Key(_STR, "f64"),
+        "out_dir": _Key(_STR, "synth_out"),
+    },
+    "metrics": {
+        "manifest": _Key(_STR, None, required=True),
+        "out_dir": _Key(_STR, "metrics_out"),
+        "easy": _Key(_STR, None),
+        **_field_keys(metrics.MetricConfig, hidden=("cca_ridge",)),
+    },
+    "train": {
+        "manifest": _Key(_STR, None, required=True),
+        "out_dir": _Key(_STR, "train_out"),
+        **_field_keys(trainer.TrainConfig, hidden=_TRAIN_HIDDEN),
+    },
+    "eval": {
+        "checkpoint": _Key(_STR, None, required=True),
+        "manifest": _Key(_STR, None, required=True),
+        "out_dir": _Key(_STR, "eval_out"),
+        "split": _Key(_STR, "test"),
+        "seed": _Key(_INT, None),
+    },
+    "sweep-alpha": {
+        "manifest": _Key(_STR, None, required=True),
+        "out_dir": _Key(_STR, "sweep_out"),
+        **_field_keys(trainer.TrainConfig, hidden=_TRAIN_HIDDEN + ("seeds",)),
+        "alphas": _Key(_FLOATS, [0.0, 0.25, 0.5, 0.75, 1.0]),
+        "seed": _Key(_INT, 5),
+    },
 }
 
 
 def _add_flags(parser, keys):
     parser.add_argument("--config", default=None, help="JSON config file")
-    for key, (typ, _default) in keys.items():
+    for key, spec in keys.items():
         flag = "--" + key.replace("_", "-")
-        if typ is bool:
+        if spec.type is _BOOL:
             parser.add_argument(flag, default=None, action=argparse.BooleanOptionalAction)
         else:
-            parser.add_argument(flag, default=None, type=typ)
+            parser.add_argument(flag, default=None, type=spec.type.parse)
 
 
 def _resolve_config(command: str, args) -> dict:
     keys = _COMMAND_KEYS[command]
-    resolved = {k: default for k, (_t, default) in keys.items()}
+    resolved = {k: spec.default for k, spec in keys.items()}
     if args.config is not None:
         try:
             doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
@@ -155,12 +178,26 @@ def _resolve_config(command: str, args) -> dict:
         unknown = set(doc) - set(keys)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in doc.items():
+            spec = keys[key]
+            unset = value is None and spec.default is None
+            if not (unset or spec.type.fits(value)):
+                raise ConfigError(f"config key {key!r} must be {spec.type.name}, got {value!r}")
         resolved.update(doc)
     for key in keys:
         value = getattr(args, key)
         if value is not None:
             resolved[key] = value
     return resolved
+
+
+def _build(cls, config: dict, **given):
+    """Config dataclass ``cls`` from the resolved keys named after its fields,
+    with ``given`` for the fields set otherwise."""
+    names = {f.name for f in fields(cls)}
+    kwargs = {k: v for k, v in config.items() if k in names}
+    kwargs.update(given)
+    return cls(**kwargs)
 
 
 def _write_json(path, payload) -> None:
@@ -179,17 +216,7 @@ def _write_csv(path, header, rows) -> None:
 def cmd_synth(config: dict) -> int:
     out_dir = Path(config["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    synth_cfg = embed_io.SynthConfig(
-        n=config["n"],
-        latent_dim=config["latent_dim"],
-        context_dims=config["context_dims"],
-        fine_dims=config["fine_dims"],
-        d_v=config["d_v"],
-        d_l=config["d_l"],
-        noise_std=config["noise_std"],
-        hard_delta=config["hard_delta"],
-        seed=config["seed"],
-    )
+    synth_cfg = _build(embed_io.SynthConfig, config)
     ds, easy, latents = embed_io.synth_generate(synth_cfg)
     dtype = config["dtype"]
     files = {
@@ -232,15 +259,7 @@ def cmd_metrics(config: dict) -> int:
     elif easy_path is not None:
         print(f"warning: easy negatives file missing ({easy_path}); column omitted")
 
-    mcfg = metrics.MetricConfig(
-        pca_r=config["pca_r"],
-        svcca_k=config["svcca_k"],
-        svcca_eta=config["svcca_eta"],
-        knn_k=config["knn_k"],
-        kernel=config["kernel"],
-        rbf_gamma=config["rbf_gamma"],
-        knn_similarity=config["knn_similarity"],
-    )
+    mcfg = _build(metrics.MetricConfig, config)
     report = metrics.alignment_report(ds.images, ds.positives, easy, ds.negatives, mcfg, tolerant=True)
     for setting, cells in report.errors.items():
         for metric_name, message in cells.items():
@@ -269,42 +288,15 @@ def cmd_metrics(config: dict) -> int:
     return EXIT_OK
 
 
-def _train_config_from(config: dict, ds) -> trainer.TrainConfig:
-    ae_v = AutoencoderConfig(
-        input_dim=ds.images.shape[1],
-        hidden_dims=list(config["hidden_dims"]),
-        latent_dim=config["latent_dim"],
-        dropout=config["dropout"],
-    )
-    ae_l = AutoencoderConfig(
-        input_dim=ds.positives.shape[1],
-        hidden_dims=list(config["hidden_dims"]),
-        latent_dim=config["latent_dim"],
-        dropout=config["dropout"],
-    )
-    loss_cfg = LossConfig(
-        objective=config["objective"],
-        alpha=config["alpha"],
-        lambda_start=config["lambda_start"],
-        lambda_end=config["lambda_end"],
-        include_positive_in_denominator=config["include_positive_in_denominator"],
-    )
-    sim_cfg = SimilarityConfig(
-        tau=config["tau"], logit_scale_mode=config["logit_scale_mode"]
-    )
-    return trainer.TrainConfig(
-        ae_cfg_vision=ae_v,
-        ae_cfg_language=ae_l,
-        epochs=config["epochs"],
-        batch_size=config["batch_size"],
-        seeds=tuple(config.get("seeds", [config.get("seed", 5)])),
-        lr0=config["lr0"],
-        lr_min=config["lr_min"],
-        weight_decay=config["weight_decay"],
-        validate_every=config["validate_every"],
-        patience=config["patience"],
-        loss_cfg=loss_cfg,
-        sim_cfg=sim_cfg,
+def _train_config_from(config: dict, ds, seeds) -> trainer.TrainConfig:
+    return _build(
+        trainer.TrainConfig,
+        config,
+        ae_cfg_vision=_build(AutoencoderConfig, config, input_dim=ds.images.shape[1]),
+        ae_cfg_language=_build(AutoencoderConfig, config, input_dim=ds.positives.shape[1]),
+        seeds=tuple(seeds),
+        loss_cfg=_build(LossConfig, config),
+        sim_cfg=_build(SimilarityConfig, config),
     )
 
 
@@ -312,7 +304,7 @@ def cmd_train(config: dict) -> int:
     out_dir = Path(config["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     full_ds = embed_io.load_paired_dataset(config["manifest"])
-    cfg = _train_config_from(config, full_ds)
+    cfg = _train_config_from(config, full_ds, config["seeds"])
     task = Path(config["manifest"]).stem
     results = []
     status = EXIT_OK
@@ -328,7 +320,7 @@ def cmd_train(config: dict) -> int:
                     "config": config,
                     "seed": seed,
                     "partial": True,
-                    "history": exc.history.to_dict() if exc.history else None,
+                    "history": asdict(exc.history) if exc.history else None,
                     "format_version": FORMAT_VERSION,
                 },
             )
@@ -341,7 +333,7 @@ def cmd_train(config: dict) -> int:
                 "command": "train",
                 "config": config,
                 "seed": seed,
-                "history": history.to_dict(),
+                "history": asdict(history),
                 "format_version": FORMAT_VERSION,
             },
         )
@@ -353,7 +345,7 @@ def cmd_train(config: dict) -> int:
                 "task": task,
                 "objective": config["objective"],
                 "seed": seed,
-                "result": result.to_dict(),
+                "result": asdict(result),
                 "format_version": FORMAT_VERSION,
             },
         )
@@ -417,7 +409,7 @@ def cmd_eval(config: dict) -> int:
         "objective": objective,
         "seed": seed,
         "split": split,
-        "result": result.to_dict(),
+        "result": asdict(result),
         "format_version": FORMAT_VERSION,
     }
     _write_json(out_dir / "result.json", payload)
@@ -437,7 +429,7 @@ def cmd_sweep_alpha(config: dict) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     full_ds = embed_io.load_paired_dataset(config["manifest"])
     seed = config["seed"]
-    cfg = _train_config_from({**config, "seeds": [seed]}, full_ds)
+    cfg = _train_config_from(config, full_ds, [seed])
     train_ds, val_ds, _ = embed_io.split_dataset(full_ds, seed=seed)
     report = trainer.sweep_alpha(train_ds, val_ds, cfg, config["alphas"], seed=seed)
     _write_json(
@@ -446,7 +438,7 @@ def cmd_sweep_alpha(config: dict) -> int:
             "command": "sweep-alpha",
             "config": config,
             "seed": seed,
-            "report": report.to_dict(),
+            "report": asdict(report),
             "format_version": FORMAT_VERSION,
         },
     )
@@ -480,8 +472,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _resolve_config(args.command, args)
-        for key, (_t, default) in _COMMAND_KEYS[args.command].items():
-            if default is None and config.get(key) is None and key not in ("easy", "rbf_gamma", "seed"):
+        for key, spec in _COMMAND_KEYS[args.command].items():
+            if spec.required and config[key] is None:
                 raise ConfigError(f"missing required option --{key.replace('_', '-')}")
         return _HANDLERS[args.command](config)
     except ConfigError as exc:

@@ -227,19 +227,6 @@ class SynthConfig:
         if self.hard_delta < 0:
             raise InvalidInput("hard_delta must be >= 0")
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "latent_dim": self.latent_dim,
-            "context_dims": self.context_dims,
-            "fine_dims": self.fine_dims,
-            "d_v": self.d_v,
-            "d_l": self.d_l,
-            "noise_std": self.noise_std,
-            "hard_delta": self.hard_delta,
-            "seed": self.seed,
-        }
-
 
 def _orthonormal_map(rng: RngStream, d_out: int, d_in: int) -> Matrix:
     # QR of a Gaussian draw; columns are orthonormal, so z -> W z is isometric

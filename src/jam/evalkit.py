@@ -23,14 +23,6 @@ class RetrievalResult:
     n_queries: int
     seed: int
 
-    def to_dict(self) -> dict:
-        return {
-            "recall_binary": self.recall_binary,
-            "recall_5way": self.recall_5way,
-            "n_queries": self.n_queries,
-            "seed": self.seed,
-        }
-
 
 def _unit_rows(z) -> Matrix:
     m = np.asarray(z, dtype=np.float64)

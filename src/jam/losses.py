@@ -21,9 +21,8 @@ rest of the batch; contextNCE sharpens the positive against the hard
 negative inside that two-element context.
 
 ``alignment_grads`` returns an objective's value, its named parts and
-exact gradients w.r.t. all latent inputs and the learnable log scale. Each
-public ``loss_*`` returns a float read from it, except ``loss_concon``, which
-also takes arbitrary context sets.
+exact gradients w.r.t. all latent inputs and the learnable log scale.
+``loss_concon`` returns the ConCon value for arbitrary context sets.
 """
 
 from __future__ import annotations
@@ -61,18 +60,6 @@ class SimilarityConfig:
         ls = self.logit_scale_init if log_scale is None else float(log_scale)
         return math.exp(ls)
 
-    def to_dict(self) -> dict:
-        return {
-            "tau": self.tau,
-            "logit_scale_mode": self.logit_scale_mode,
-            "logit_scale_init": self.logit_scale_init,
-            "logit_scale_max": self.logit_scale_max,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SimilarityConfig":
-        return cls(**d)
-
 
 @dataclass
 class LossConfig:
@@ -98,24 +85,6 @@ class LossConfig:
                     raise InvalidInput("alpha schedule must stay in [0, 1]")
         if not self.lambda_start >= self.lambda_end >= 0.0:
             raise InvalidInput("need lambda_start >= lambda_end >= 0")
-
-    def to_dict(self) -> dict:
-        return {
-            "objective": self.objective,
-            "alpha": self.alpha,
-            "alpha_schedule": list(self.alpha_schedule) if self.alpha_schedule else None,
-            "lambda_start": self.lambda_start,
-            "lambda_end": self.lambda_end,
-            "include_positive_in_denominator": self.include_positive_in_denominator,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LossConfig":
-        d = dict(d)
-        sched = d.get("alpha_schedule")
-        if isinstance(sched, list):
-            d["alpha_schedule"] = tuple(sched)
-        return cls(**d)
 
 
 @dataclass
@@ -157,13 +126,6 @@ def _normalize_rows(z: Matrix, name: str):
 def _normalize_backward(du, u, norms):
     inner = np.sum(du * u, axis=1, keepdims=True)
     return (du - u * inner) / norms
-
-
-def cosine_logits(
-    za: Matrix, zb: Matrix, sim_cfg: SimilarityConfig, log_scale: float | None = None
-) -> Matrix:
-    """scale * cosine(z_a, z_b) for every pair of rows."""
-    return _LogitGraph(as_matrix(za, "za"), as_matrix(zb, "zb"), sim_cfg, log_scale).s
 
 
 def _masked_nce(s, row_idx, pos_idx, pool_mask, weights):
@@ -274,28 +236,9 @@ def _contextnce_terms(s2, contexts):
     return _masked_nce(s2, idx, contexts.pairs[:, 0], pool, np.full(n, 1.0 / n))
 
 
-# ---------------------------------------------------------------------------
-# public losses (values)
-# ---------------------------------------------------------------------------
-
-
-def loss_vl_con(zv, zlp, sim_cfg, log_scale=None, include_positive=False) -> float:
-    return alignment_grads("con", zv, zlp, None, 0.0, sim_cfg, log_scale, include_positive)[5]["vl"]
-
-
-def loss_lv(zlp, zv, sim_cfg, log_scale=None, include_positive=False) -> float:
-    return alignment_grads("con", zv, zlp, None, 0.0, sim_cfg, log_scale, include_positive)[5]["lv"]
-
-
-def loss_con(zv, zlp, sim_cfg, log_scale=None, include_positive=False) -> float:
-    return alignment_grads("con", zv, zlp, None, 0.0, sim_cfg, log_scale, include_positive)[0]
-
-
-def loss_negcon(zv, zlp, zln, sim_cfg, log_scale=None, include_positive=False) -> float:
-    return alignment_grads("negcon", zv, zlp, zln, 0.0, sim_cfg, log_scale, include_positive)[0]
-
-
 def loss_concon(zv, zl_all, contexts=None, sim_cfg=None, log_scale=None) -> float:
+    """ConCon of anchors ``zv`` over the text pool ``zl_all``; without
+    ``contexts`` the pool is laid out as [positives, hard negatives]."""
     zv = as_matrix(zv, "zv")
     zl_all = as_matrix(zl_all, "zl_all")
     sim_cfg = sim_cfg or SimilarityConfig()
@@ -305,18 +248,6 @@ def loss_concon(zv, zl_all, contexts=None, sim_cfg=None, log_scale=None) -> floa
         contexts = ContextSets.canonical(zv.shape[0])
     g = _LogitGraph(zv, zl_all, sim_cfg, log_scale)
     return _concon_terms(g.s, contexts)[0]
-
-
-def loss_contextnce(zv, zlp, zln, sim_cfg, log_scale=None) -> float:
-    return alignment_grads("spread", zv, zlp, zln, 1.0, sim_cfg, log_scale)[5]["contextnce"]
-
-
-def loss_spread_vl(zv, zlp, zln, alpha, sim_cfg, log_scale=None) -> float:
-    return alignment_grads("spread", zv, zlp, zln, alpha, sim_cfg, log_scale)[5]["spread_vl"]
-
-
-def loss_spread(zv, zlp, zln, alpha, sim_cfg, log_scale=None, include_positive=False) -> float:
-    return alignment_grads("spread", zv, zlp, zln, alpha, sim_cfg, log_scale, include_positive)[0]
 
 
 def mse_recon(x, xhat) -> float:

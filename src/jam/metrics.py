@@ -48,7 +48,7 @@ with 8 power steps was 2.7% off there.
 from __future__ import annotations
 
 import mmap
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -435,18 +435,6 @@ class MetricConfig:
     rbf_gamma: float | None = None
     knn_similarity: str = "inner"
 
-    def to_dict(self) -> dict:
-        return {
-            "pca_r": self.pca_r,
-            "cca_ridge": self.cca_ridge,
-            "svcca_eta": self.svcca_eta,
-            "svcca_k": self.svcca_k,
-            "knn_k": self.knn_k,
-            "kernel": self.kernel,
-            "rbf_gamma": self.rbf_gamma,
-            "knn_similarity": self.knn_similarity,
-        }
-
 
 METRIC_NAMES = ("cca_linear", "cca_kernel", "cka", "svcca", "cknna")
 
@@ -466,9 +454,6 @@ class AlignmentReport:
     scores: dict
     config: dict
     errors: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {"scores": self.scores, "config": self.config, "errors": self.errors}
 
 
 def _metric_cell(name: str, images: _View, texts: _View, cfg: MetricConfig) -> float:
@@ -528,4 +513,4 @@ def alignment_report(
                 if not tolerant:
                     raise
                 errors.setdefault(setting, {})[name] = str(exc)
-    return AlignmentReport(scores=scores, config=cfg.to_dict(), errors=errors)
+    return AlignmentReport(scores=scores, config=asdict(cfg), errors=errors)

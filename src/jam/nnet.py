@@ -216,7 +216,7 @@ class ResidualMLP(_Layer):
 @dataclass
 class AutoencoderConfig:
     input_dim: int
-    hidden_dims: list = field(default_factory=lambda: [512, 512, 512])
+    hidden_dims: list[int] = field(default_factory=lambda: [512, 512, 512])
     latent_dim: int = 256
     dropout: float = 0.1
     layernorm_eps: float = 1e-5
@@ -228,19 +228,6 @@ class AutoencoderConfig:
             raise InvalidInput("hidden dims must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise InvalidInput("dropout must be in [0, 1)")
-
-    def to_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "hidden_dims": list(self.hidden_dims),
-            "latent_dim": self.latent_dim,
-            "dropout": self.dropout,
-            "layernorm_eps": self.layernorm_eps,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AutoencoderConfig":
-        return cls(**d)
 
 
 def _make_stage(name, d_in, width, cfg, rng):

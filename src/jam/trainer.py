@@ -23,7 +23,7 @@ gradients from the alignment loss reach it through both text passes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -51,7 +51,7 @@ class TrainConfig:
     ae_cfg_language: AutoencoderConfig
     epochs: int = 100
     batch_size: int = 32
-    seeds: tuple = (5, 42, 55)
+    seeds: tuple[int, ...] = (5, 42, 55)
     lr0: float = 1e-3
     lr_min: float = 1e-5
     weight_decay: float = 0.01
@@ -72,30 +72,16 @@ class TrainConfig:
         if self.ae_cfg_vision.latent_dim != self.ae_cfg_language.latent_dim:
             raise InvalidInput("both autoencoders must share the latent dim")
 
-    def to_dict(self) -> dict:
-        return {
-            "ae_cfg_vision": self.ae_cfg_vision.to_dict(),
-            "ae_cfg_language": self.ae_cfg_language.to_dict(),
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "seeds": list(self.seeds),
-            "lr0": self.lr0,
-            "lr_min": self.lr_min,
-            "weight_decay": self.weight_decay,
-            "validate_every": self.validate_every,
-            "patience": self.patience,
-            "loss_cfg": self.loss_cfg.to_dict(),
-            "sim_cfg": self.sim_cfg.to_dict(),
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
+        """Rebuilds a config from its ``asdict`` form after a JSON round trip."""
         d = dict(d)
-        d["ae_cfg_vision"] = AutoencoderConfig.from_dict(d["ae_cfg_vision"])
-        d["ae_cfg_language"] = AutoencoderConfig.from_dict(d["ae_cfg_language"])
-        d["loss_cfg"] = LossConfig.from_dict(d["loss_cfg"])
-        d["sim_cfg"] = SimilarityConfig.from_dict(d["sim_cfg"])
-        d["seeds"] = tuple(d.get("seeds", (5, 42, 55)))
+        for key in ("ae_cfg_vision", "ae_cfg_language"):
+            d[key] = AutoencoderConfig(**d[key])
+        d["loss_cfg"] = LossConfig(**d["loss_cfg"])
+        d["sim_cfg"] = SimilarityConfig(**d["sim_cfg"])
+        if "seeds" in d:
+            d["seeds"] = tuple(d["seeds"])
         return cls(**d)
 
 
@@ -108,17 +94,6 @@ class TrainHistory:
     stop_epoch: int = 0
     stop_reason: str = "completed"
     seed: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "validations": self.validations,
-            "best_score": self.best_score,
-            "best_epoch": self.best_epoch,
-            "stop_epoch": self.stop_epoch,
-            "stop_reason": self.stop_reason,
-            "seed": self.seed,
-        }
 
 
 class EarlyStopping:
@@ -403,25 +378,11 @@ class SweepEntry:
     stop_epoch: int
     stop_reason: str
 
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "best_val_recall": self.best_val_recall,
-            "stop_epoch": self.stop_epoch,
-            "stop_reason": self.stop_reason,
-        }
-
 
 @dataclass
 class SweepReport:
     entries: list
     best_alpha: float
-
-    def to_dict(self) -> dict:
-        return {
-            "entries": [e.to_dict() for e in self.entries],
-            "best_alpha": self.best_alpha,
-        }
 
 
 def sweep_alpha(train_ds, val_ds, cfg: TrainConfig, alphas, seed: int | None = None) -> SweepReport:
@@ -470,7 +431,7 @@ def save_jam(path, model: TrainedJAM, cfg: TrainConfig, seed: int, extra_meta: d
     tensors) still load, since ``load_jam`` reads only the parameters."""
     tensors = _named_params(model.vision_ae, model.language_ae, model.log_scale)
     meta = {
-        "train_config": cfg.to_dict(),
+        "train_config": asdict(cfg),
         "seed": int(seed),
         "format_version": 1,
     }

@@ -12,6 +12,7 @@ import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -353,18 +354,19 @@ class TestCriterion5ExactLossValues:
         n, d = 6, 8
         row = RngStream(0).gaussian(1, d)
         uniform = np.tile(row, (n, 1))
-        con_val = losses.loss_con(uniform, uniform.copy(), SIM)
+        con_val = losses.alignment_grads("con", uniform, uniform.copy(), None, 0.0, SIM)[0]
         assert abs(con_val - math.log(n - 1)) <= 1e-9
 
-        ctx = losses.loss_contextnce(uniform, uniform.copy(), uniform.copy(), SIM)
+        ctx = losses.alignment_grads("spread", uniform, uniform.copy(), uniform.copy(), 1.0, SIM)[5]["contextnce"]
         assert abs(ctx - math.log(2)) <= 1e-12
 
         r = RngStream(1)
         zv, zlp, zln = r.gaussian(n, d), r.gaussian(n, d), r.gaussian(n, d)
         concon = losses.loss_concon(zv, np.concatenate([zlp, zln]), None, SIM)
-        ctxnce = losses.loss_contextnce(zv, zlp, zln, SIM)
-        assert losses.loss_spread_vl(zv, zlp, zln, 0.0, SIM) == concon
-        assert losses.loss_spread_vl(zv, zlp, zln, 1.0, SIM) == ctxnce
+        at_0 = losses.alignment_grads("spread", zv, zlp, zln, 0.0, SIM)[5]
+        at_1 = losses.alignment_grads("spread", zv, zlp, zln, 1.0, SIM)[5]
+        assert at_0["spread_vl"] == concon
+        assert at_1["spread_vl"] == at_1["contextnce"]
         report(
             "criterion-5",
             f"uniform con = log(N-1) ({con_val:.12f}), contextNCE = log 2 ({ctx:.15f}), "
@@ -435,8 +437,8 @@ class TestCriterion8Determinism:
         )
         m1, h1 = train(tr, va, cfg, seed=42)
         m2, h2 = train(tr, va, cfg, seed=42)
-        h1_json = json.dumps(h1.to_dict(), sort_keys=True)
-        assert h1_json == json.dumps(h2.to_dict(), sort_keys=True)
+        h1_json = json.dumps(asdict(h1), sort_keys=True)
+        assert h1_json == json.dumps(asdict(h2), sort_keys=True)
         p1, p2 = m1.vision_ae.parameters(), m2.vision_ae.parameters()
         assert all(np.array_equal(p1[k], p2[k]) for k in p1)
         assert m1.log_scale == m2.log_scale

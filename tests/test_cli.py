@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 from pathlib import Path
@@ -5,9 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from jam import cli
 from jam.cli import main
 from jam.embed_io import read_embeddings, write_embeddings
+from jam.losses import LossConfig
 from jam.metrics import METRIC_NAMES
+from jam.nnet import Autoencoder, AutoencoderConfig, load_checkpoint
+from jam.numkit import RngStream
+from jam.trainer import TrainConfig, TrainedJAM, save_jam
 
 
 def run_cli(args):
@@ -245,3 +251,123 @@ class TestSweepCommand:
         assert alphas == [0.0, 0.5, 1.0]
         assert report["report"]["best_alpha"] in alphas
 
+
+class TestConfigFileTypes:
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            ("train", {"epochs": "10"}),
+            ("train", {"hidden_dims": "16,16"}),
+            ("train", {"seeds": 5}),
+            ("train", {"include_positive_in_denominator": 1}),
+            ("synth", {"n": "60"}),
+            ("metrics", {"pca_r": 5.5}),
+            ("metrics", {"svcca_eta": True}),
+        ],
+    )
+    def test_wrong_type_exits_2(self, synth_dir, tmp_path, capsys, command, doc):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(doc))
+        args = [command, "--config", cfg_path, "--out-dir", tmp_path / "out"]
+        if command != "synth":
+            args += ["--manifest", synth_dir / "manifest.json"]
+        assert run_cli(args) == 2
+        assert f"config key {next(iter(doc))!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_int_fits_float_and_null_fits_unset(self, synth_dir, tmp_path):
+        cfg_path = tmp_path / "ok.json"
+        cfg_path.write_text(json.dumps({"svcca_eta": 1, "rbf_gamma": None, "pca_r": 5}))
+        out = tmp_path / "metrics"
+        assert run_cli(["metrics", "--config", cfg_path, "--manifest", synth_dir / "manifest.json",
+                        "--out-dir", out]) == 0
+        assert json.loads((out / "report.json").read_text())["metric_config"]["svcca_eta"] == 1
+
+
+TRAIN_OPTIONS = [
+    "--alpha", "--batch-size", "--config", "--dropout", "--epochs", "--help", "--hidden-dims",
+    "--include-positive-in-denominator", "--lambda-end", "--lambda-start", "--latent-dim",
+    "--logit-scale-mode", "--lr-min", "--lr0", "--manifest", "--no-include-positive-in-denominator",
+    "--objective", "--out-dir", "--patience", "--seeds", "--tau", "--validate-every", "--weight-decay",
+]
+TRAIN_DEFAULTS = {
+    "manifest": None, "out_dir": "train_out", "objective": "spread", "alpha": 0.5, "seeds": [5, 42, 55],
+    "epochs": 100, "batch_size": 32, "lr0": 0.001, "lr_min": 1e-05, "weight_decay": 0.01,
+    "validate_every": 5, "patience": 5, "hidden_dims": [512, 512, 512], "latent_dim": 256,
+    "dropout": 0.1, "tau": 0.07, "logit_scale_mode": "learnable", "lambda_start": 1.0,
+    "lambda_end": 0.1, "include_positive_in_denominator": False,
+}
+SURFACE = {
+    "synth": (
+        ["--config", "--context-dims", "--d-l", "--d-v", "--dtype", "--fine-dims", "--hard-delta",
+         "--help", "--latent-dim", "--n", "--noise-std", "--out-dir", "--seed"],
+        {"n": 500, "latent_dim": 16, "context_dims": 12, "fine_dims": 4, "d_v": 64, "d_l": 96,
+         "noise_std": 0.05, "hard_delta": 1.0, "seed": 5, "dtype": "f64", "out_dir": "synth_out"},
+    ),
+    "metrics": (
+        ["--config", "--easy", "--help", "--kernel", "--knn-k", "--knn-similarity", "--manifest",
+         "--out-dir", "--pca-r", "--rbf-gamma", "--svcca-eta", "--svcca-k"],
+        {"manifest": None, "out_dir": "metrics_out", "easy": None, "pca_r": 50, "svcca_k": 10,
+         "svcca_eta": 0.99, "knn_k": 10, "kernel": "linear", "rbf_gamma": None, "knn_similarity": "inner"},
+    ),
+    "train": (TRAIN_OPTIONS, TRAIN_DEFAULTS),
+    "eval": (
+        ["--checkpoint", "--config", "--help", "--manifest", "--out-dir", "--seed", "--split"],
+        {"checkpoint": None, "manifest": None, "out_dir": "eval_out", "split": "test", "seed": None},
+    ),
+    "sweep-alpha": (
+        sorted(set(TRAIN_OPTIONS) - {"--seeds"} | {"--alphas", "--seed"}),
+        {**{k: v for k, v in TRAIN_DEFAULTS.items() if k != "seeds"}, "out_dir": "sweep_out",
+         "alphas": [0.0, 0.25, 0.5, 0.75, 1.0], "seed": 5},
+    ),
+}
+
+
+class TestSurface:
+    """Pins every option, every default and the checkpoint's config echo, so
+    deriving them from the config dataclasses adds, drops or renames none."""
+
+    @pytest.mark.parametrize("command", sorted(SURFACE))
+    def test_options_and_defaults(self, command):
+        parser = cli._build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        options = sorted(o for a in sub.choices[command]._actions for o in a.option_strings if o.startswith("--"))
+        resolved = cli._resolve_config(command, parser.parse_args([command]))
+        assert options == SURFACE[command][0]
+        # artifacts echo the resolved config as JSON
+        assert json.loads(json.dumps(resolved)) == SURFACE[command][1]
+
+    def test_checkpoint_meta(self, tmp_path):
+        cfg = TrainConfig(
+            ae_cfg_vision=AutoencoderConfig(6, [4], 3),
+            ae_cfg_language=AutoencoderConfig(5, [4], 3),
+            epochs=2,
+            validate_every=1,
+            seeds=(7,),
+            loss_cfg=LossConfig(alpha_schedule=("linear", 0.25, 0.75)),
+        )
+        vision = Autoencoder(cfg.ae_cfg_vision, RngStream(0))
+        language = Autoencoder(cfg.ae_cfg_language, RngStream(1))
+        save_jam(tmp_path / "m.jckp", TrainedJAM(vision, language, cfg.sim_cfg, 2.0, cfg.loss_cfg), cfg, 7)
+        ae = {"dropout": 0.1, "hidden_dims": [4], "latent_dim": 3, "layernorm_eps": 1e-05}
+        assert load_checkpoint(tmp_path / "m.jckp")[1] == {
+            "format_version": 1,
+            "seed": 7,
+            "train_config": {
+                "ae_cfg_language": {**ae, "input_dim": 5},
+                "ae_cfg_vision": {**ae, "input_dim": 6},
+                "batch_size": 32,
+                "epochs": 2,
+                "loss_cfg": {"alpha": 0.5, "alpha_schedule": ["linear", 0.25, 0.75],
+                             "include_positive_in_denominator": False, "lambda_end": 0.1,
+                             "lambda_start": 1.0, "objective": "spread"},
+                "lr0": 0.001,
+                "lr_min": 1e-05,
+                "patience": 5,
+                "seeds": [7],
+                "sim_cfg": {"logit_scale_init": 2.659260036932778, "logit_scale_max": 4.605170185988092,
+                            "logit_scale_mode": "learnable", "tau": 0.07},
+                "validate_every": 1,
+                "weight_decay": 0.01,
+            },
+        }

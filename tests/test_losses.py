@@ -10,18 +10,11 @@ from jam.losses import (
     ContextSets,
     LossConfig,
     SimilarityConfig,
+    _LogitGraph,
     alignment_grads,
     alpha_schedule,
-    cosine_logits,
     lambda_schedule,
-    loss_con,
     loss_concon,
-    loss_contextnce,
-    loss_lv,
-    loss_negcon,
-    loss_spread,
-    loss_spread_vl,
-    loss_vl_con,
     mse_recon,
 )
 from jam.nnet import Autoencoder, AutoencoderConfig
@@ -30,6 +23,13 @@ from jam.trainer import TrainConfig, _joint_params, train_step
 
 SIM = SimilarityConfig()
 FIXED = SimilarityConfig(logit_scale_mode="fixed")
+
+
+def loss_value(objective, zv, zlp, zln=None, alpha=0.0, sim=SIM, log_scale=None,
+               include_positive=False, part=None):
+    """`alignment_grads`' value, or its named ``part``."""
+    out = alignment_grads(objective, zv, zlp, zln, alpha, sim, log_scale, include_positive)
+    return out[0] if part is None else out[5][part]
 
 
 def batch(seed, n=6, d=8):
@@ -47,49 +47,49 @@ def uniform_batch(n=6, d=8):
 class TestCosineLogits:
     def test_self_similarity_fixed_tau(self):
         z = RngStream(1).gaussian(4, 6)
-        logits = cosine_logits(z, z, FIXED)
+        logits = _LogitGraph(z, z, FIXED, None).s
         np.testing.assert_allclose(np.diag(logits), np.full(4, 1 / 0.07), atol=1e-9)
 
     def test_orthogonal_zero(self):
         za = np.array([[1.0, 0.0]])
         zb = np.array([[0.0, 2.0]])
-        assert abs(cosine_logits(za, zb, FIXED)[0, 0]) < 1e-12
+        assert abs(_LogitGraph(za, zb, FIXED, None).s[0, 0]) < 1e-12
 
     def test_learnable_init_matches_fixed(self):
         z = RngStream(2).gaussian(5, 4)
-        learn = cosine_logits(z, z, SIM, log_scale=SIM.logit_scale_init)
-        fixed = cosine_logits(z, z, FIXED)
+        learn = _LogitGraph(z, z, SIM, SIM.logit_scale_init).s
+        fixed = _LogitGraph(z, z, FIXED, None).s
         np.testing.assert_allclose(learn, fixed, atol=1e-12)
 
     def test_zero_norm_rejected(self):
         z = np.zeros((2, 3))
         with pytest.raises(DegenerateInput):
-            cosine_logits(z, z, SIM)
+            _LogitGraph(z, z, SIM, None)
 
 
 class TestConLoss:
     def test_uniform_equals_log_nm1(self):
         zv, zlp, _ = uniform_batch(n=6)
-        assert abs(loss_vl_con(zv, zlp, SIM) - math.log(5)) < 1e-9
-        assert abs(loss_con(zv, zlp, SIM) - math.log(5)) < 1e-9
+        assert abs(loss_value("con", zv, zlp, part="vl") - math.log(5)) < 1e-9
+        assert abs(loss_value("con", zv, zlp) - math.log(5)) < 1e-9
 
     def test_two_pair_hand_expansion(self):
         # with 2 pairs the printed form reduces to 0.5*((b-a) + (c-d))
         zv = np.array([[1.0, 0.0], [0.0, 1.0]])
         zlp = np.array([[0.9, 0.1], [0.2, 0.8]])
-        s = cosine_logits(zv, zlp, FIXED)
+        s = _LogitGraph(zv, zlp, FIXED, None).s
         a, b, c, d = s[0, 0], s[0, 1], s[1, 0], s[1, 1]
         expected = 0.5 * (-(a - b) - (d - c))
-        assert abs(loss_vl_con(zv, zlp, FIXED) - expected) < 1e-12
+        assert abs(loss_value("con", zv, zlp, sim=FIXED, part="vl") - expected) < 1e-12
 
     def test_pair_permutation_invariance(self):
         zv, zlp, _ = batch(3)
         perm = RngStream(4).permutation(6)
-        assert abs(loss_con(zv, zlp, SIM) - loss_con(zv[perm], zlp[perm], SIM)) < 1e-12
+        assert abs(loss_value("con", zv, zlp) - loss_value("con", zv[perm], zlp[perm])) < 1e-12
 
     def test_swap_symmetry(self):
         zv, zlp, _ = batch(5)
-        assert abs(loss_con(zv, zlp, SIM) - loss_con(zlp, zv, SIM)) < 1e-12
+        assert abs(loss_value("con", zv, zlp) - loss_value("con", zlp, zv)) < 1e-12
 
     def test_perfect_alignment_monotone_to_zero_standard_variant(self):
         # with the positive included in the denominator, the loss decreases
@@ -97,7 +97,7 @@ class TestConLoss:
         zv = RngStream(6).gaussian(8, 5)
         prev = None
         for scale_log in (0.0, 1.0, 2.0, 3.0, 4.0):
-            value = loss_con(zv, zv.copy(), SIM, log_scale=scale_log, include_positive=True)
+            value = loss_value("con", zv, zv.copy(), log_scale=scale_log, include_positive=True)
             assert value >= 0.0
             if prev is not None:
                 assert value <= prev + 1e-12
@@ -107,7 +107,7 @@ class TestConLoss:
     def test_batch_too_small(self):
         zv, zlp, _ = batch(7, n=1)
         with pytest.raises(InvalidInput):
-            loss_con(zv, zlp, SIM)
+            loss_value("con", zv, zlp)
 
 
 class TestNegCon:
@@ -116,7 +116,7 @@ class TestNegCon:
         zv, zlp, zln = uniform_batch(n=n)
         # VL part is forced to 0.5*log(2N-1), LV part to log(N-1)
         expected = 0.5 * (0.5 * math.log(2 * n - 1) + math.log(n - 1))
-        assert abs(loss_negcon(zv, zlp, zln, SIM) - expected) < 1e-9
+        assert abs(loss_value("negcon", zv, zlp, zln) - expected) < 1e-9
 
     def test_far_negatives_halve_vl_term(self):
         # hard negatives at cosine ~ -1 from every anchor vanish from the
@@ -130,15 +130,15 @@ class TestNegCon:
         zlp = r.gaussian(n, d)
         zln = np.tile(-axis, (n, 1))
         sim = SimilarityConfig(logit_scale_mode="fixed", tau=0.05)
-        vl_con = loss_vl_con(zv, zlp, sim)
-        lv = loss_lv(zlp, zv, sim)
-        negcon = loss_negcon(zv, zlp, zln, sim)
+        vl_con = loss_value("con", zv, zlp, sim=sim, part="vl")
+        lv = loss_value("con", zv, zlp, sim=sim, part="lv")
+        negcon = loss_value("negcon", zv, zlp, zln, sim=sim)
         assert abs(negcon - 0.5 * (0.5 * vl_con + lv)) < 1e-6
 
     def test_similar_negative_raises_loss(self):
         zv, zlp, zln = batch(9)
-        closer = loss_negcon(zv, zlp, zv + 0.01 * zln, SIM)
-        farther = loss_negcon(zv, zlp, -zv + 0.01 * zln, SIM)
+        closer = loss_value("negcon", zv, zlp, zv + 0.01 * zln)
+        farther = loss_value("negcon", zv, zlp, -zv + 0.01 * zln)
         assert closer > farther
 
 
@@ -173,7 +173,7 @@ class TestConCon:
         zv = r.gaussian(n, d)
         texts = r.gaussian(2 * n, d)
         sim = FIXED
-        s = cosine_logits(zv, texts, sim)
+        s = _LogitGraph(zv, texts, sim, None).s
         expected = 0.0
         for i in range(n):
             context = (i, n + i)
@@ -196,14 +196,14 @@ class TestConCon:
 class TestContextNce:
     def test_equal_similarity_is_log2(self):
         zv, zlp, zln = uniform_batch()
-        assert abs(loss_contextnce(zv, zlp, zln, SIM) - math.log(2)) < 1e-12
+        assert abs(loss_value("spread", zv, zlp, zln, alpha=1.0, part="contextnce") - math.log(2)) < 1e-12
 
     def test_dominant_positive_to_zero(self):
         zv, _, _ = batch(11)
         zlp = zv.copy()
         zln = -zv
         sharp = SimilarityConfig(logit_scale_mode="fixed", tau=0.01)
-        assert loss_contextnce(zv, zlp, zln, sharp) < 1e-8
+        assert loss_value("spread", zv, zlp, zln, alpha=1.0, sim=sharp, part="contextnce") < 1e-8
 
     def test_equals_binary_cross_entropy(self):
         zv, zlp, zln = batch(12)
@@ -220,38 +220,38 @@ class TestContextNce:
         scale = 1 / 0.07
         margin = scale * (s_p - s_n)
         bce = float(np.mean(np.log1p(np.exp(-margin))))
-        assert abs(loss_contextnce(zv, zlp, zln, FIXED) - bce) < 1e-9
+        assert abs(loss_value("spread", zv, zlp, zln, alpha=1.0, sim=FIXED, part="contextnce") - bce) < 1e-9
 
 
 class TestSpread:
     def test_alpha_endpoints_bitwise(self):
         zv, zlp, zln = batch(13)
         concon = loss_concon(zv, np.concatenate([zlp, zln]), None, SIM)
-        ctx = loss_contextnce(zv, zlp, zln, SIM)
-        assert loss_spread_vl(zv, zlp, zln, 0.0, SIM) == concon
-        assert loss_spread_vl(zv, zlp, zln, 1.0, SIM) == ctx
+        ctx = loss_value("spread", zv, zlp, zln, alpha=1.0, part="contextnce")
+        assert loss_value("spread", zv, zlp, zln, alpha=0.0, part="spread_vl") == concon
+        assert loss_value("spread", zv, zlp, zln, alpha=1.0, part="spread_vl") == ctx
 
     def test_composition_formula(self):
         zv, zlp, zln = batch(14)
         alpha = 0.5
         concon = loss_concon(zv, np.concatenate([zlp, zln]), None, SIM)
-        ctx = loss_contextnce(zv, zlp, zln, SIM)
-        lv = loss_lv(zlp, zv, SIM)
+        ctx = loss_value("spread", zv, zlp, zln, alpha=1.0, part="contextnce")
+        lv = loss_value("con", zv, zlp, part="lv")
         expected = 0.5 * ((1 - alpha) * concon + alpha * ctx + lv)
-        assert abs(loss_spread(zv, zlp, zln, alpha, SIM) - expected) < 1e-12
+        assert abs(loss_value("spread", zv, zlp, zln, alpha=alpha) - expected) < 1e-12
 
     def test_affine_in_alpha(self):
         zv, zlp, zln = batch(15)
-        v0 = loss_spread_vl(zv, zlp, zln, 0.0, SIM)
-        v1 = loss_spread_vl(zv, zlp, zln, 1.0, SIM)
+        v0 = loss_value("spread", zv, zlp, zln, alpha=0.0, part="spread_vl")
+        v1 = loss_value("spread", zv, zlp, zln, alpha=1.0, part="spread_vl")
         for alpha in (0.25, 0.5, 0.75):
             interp = v0 + alpha * (v1 - v0)
-            assert abs(loss_spread_vl(zv, zlp, zln, alpha, SIM) - interp) < 1e-12
+            assert abs(loss_value("spread", zv, zlp, zln, alpha=alpha, part="spread_vl") - interp) < 1e-12
 
     def test_alpha_out_of_range(self):
         zv, zlp, zln = batch(16)
         with pytest.raises(InvalidInput):
-            loss_spread(zv, zlp, zln, 1.5, SIM)
+            loss_value("spread", zv, zlp, zln, alpha=1.5)
 
     @pytest.mark.parametrize("objective", ["con", "negcon", "spread"])
     def test_alignment_grads_rejects_alpha_out_of_range(self, objective):
@@ -411,9 +411,9 @@ class TestInvariances:
         zv, zlp, zln = r.gaussian(5, 6), r.gaussian(5, 6), r.gaussian(5, 6)
         scales = np.exp(r.gaussian(5, 1))
         for fn in (
-            lambda a, b, c: loss_con(a, b, SIM),
-            lambda a, b, c: loss_negcon(a, b, c, SIM),
-            lambda a, b, c: loss_spread(a, b, c, 0.5, SIM),
+            lambda a, b, c: loss_value("con", a, b),
+            lambda a, b, c: loss_value("negcon", a, b, c),
+            lambda a, b, c: loss_value("spread", a, b, c, alpha=0.5),
         ):
             base = fn(zv, zlp, zln)
             scaled = fn(zv * scales, zlp * np.roll(scales, 1), zln * np.roll(scales, 2))
@@ -426,9 +426,9 @@ class TestInvariances:
         zv, zlp, zln = r.gaussian(6, 4), r.gaussian(6, 4), r.gaussian(6, 4)
         perm = RngStream(seed + 1).permutation(6)
         for fn in (
-            lambda a, b, c: loss_con(a, b, SIM),
-            lambda a, b, c: loss_negcon(a, b, c, SIM),
-            lambda a, b, c: loss_spread(a, b, c, 0.5, SIM),
+            lambda a, b, c: loss_value("con", a, b),
+            lambda a, b, c: loss_value("negcon", a, b, c),
+            lambda a, b, c: loss_value("spread", a, b, c, alpha=0.5),
         ):
             assert abs(fn(zv, zlp, zln) - fn(zv[perm], zlp[perm], zln[perm])) < 1e-12
 
@@ -439,9 +439,9 @@ class TestInvariances:
         zv, zlp, zln = r.gaussian(4, 5), r.gaussian(4, 5), r.gaussian(4, 5)
         ls = math.log(100.0)  # the clamp ceiling
         for value in (
-            loss_con(zv, zlp, SIM, log_scale=ls),
-            loss_negcon(zv, zlp, zln, SIM, log_scale=ls),
-            loss_spread(zv, zlp, zln, 0.5, SIM, log_scale=ls),
+            loss_value("con", zv, zlp, log_scale=ls),
+            loss_value("negcon", zv, zlp, zln, log_scale=ls),
+            loss_value("spread", zv, zlp, zln, alpha=0.5, log_scale=ls),
         ):
             assert math.isfinite(value)
 
@@ -452,7 +452,7 @@ class TestInvariances:
         # bounded below by zero
         r = RngStream(seed)
         zv, zlp, zln = r.gaussian(4, 5), r.gaussian(4, 5), r.gaussian(4, 5)
-        assert loss_con(zv, zlp, SIM, include_positive=True) >= 0.0
-        assert loss_negcon(zv, zlp, zln, SIM, include_positive=True) >= 0.0
+        assert loss_value("con", zv, zlp, include_positive=True) >= 0.0
+        assert loss_value("negcon", zv, zlp, zln, include_positive=True) >= 0.0
         assert loss_concon(zv, np.concatenate([zlp, zln]), None, SIM) >= 0.0
-        assert loss_contextnce(zv, zlp, zln, SIM) >= 0.0
+        assert loss_value("spread", zv, zlp, zln, alpha=1.0, part="contextnce") >= 0.0

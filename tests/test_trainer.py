@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -79,7 +80,7 @@ class TestTrain:
         tr, va, _ = tiny_data
         m1, h1 = train(tr, va, tiny_cfg(), seed=42)
         m2, h2 = train(tr, va, tiny_cfg(), seed=42)
-        assert json.dumps(h1.to_dict(), sort_keys=True) == json.dumps(h2.to_dict(), sort_keys=True)
+        assert json.dumps(asdict(h1), sort_keys=True) == json.dumps(asdict(h2), sort_keys=True)
         for k, v in m1.vision_ae.parameters().items():
             np.testing.assert_array_equal(v, m2.vision_ae.parameters()[k])
         assert m1.log_scale == m2.log_scale
