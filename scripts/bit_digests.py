@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
-"""Print what each benchmark workload trained: the checkpoint's SHA-256 and
-the held-out recalls after one set-up and one round at a seed.
+"""Print what each benchmark workload trained: the checkpoint's SHA-256, the
+SHA-256 of the per-epoch history (sorted-key JSON), the stop reason and the
+held-out recalls after one set-up and one round at a seed.
 
     python3 scripts/bit_digests.py --seed 5
 
-Two checkouts that print the same lines train and score the same bits on
-this numpy/OpenBLAS build. The workloads and their sizes are
+Two checkouts that print the same lines train, record and score the same
+bits on this numpy/OpenBLAS build. The workloads and their sizes are
 ``perfbench/workloads.WORKLOADS``; their files go to a temporary directory.
 """
 
 import argparse
+import hashlib
+import json
 import os
 import sys
 import tempfile
@@ -31,7 +34,10 @@ def main():
         with tempfile.TemporaryDirectory() as workdir:
             pipeline = workload()
             record = pipeline.round(pipeline.setup(args.seed, workdir))
+        epochs = json.dumps(record["epochs"], sort_keys=True).encode("utf-8")
         print(f"{name}: checkpoint_sha256={record['checkpoint_sha256']} "
+              f"epochs_sha256={hashlib.sha256(epochs).hexdigest()} "
+              f"stop_reason={record['stop_reason']} "
               f"recall_binary={record['recall_binary']!r} recall_5way={record['recall_5way']!r}",
               flush=True)
 

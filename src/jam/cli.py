@@ -246,6 +246,7 @@ def cmd_synth(config: dict) -> int:
 
 
 def cmd_metrics(config: dict) -> int:
+    mcfg = _build(metrics.MetricConfig, config)
     out_dir = Path(config["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = embed_io.read_manifest(config["manifest"])
@@ -259,7 +260,6 @@ def cmd_metrics(config: dict) -> int:
     elif easy_path is not None:
         print(f"warning: easy negatives file missing ({easy_path}); column omitted")
 
-    mcfg = _build(metrics.MetricConfig, config)
     report = metrics.alignment_report(ds.images, ds.positives, easy, ds.negatives, mcfg, tolerant=True)
     for setting, cells in report.errors.items():
         for metric_name, message in cells.items():

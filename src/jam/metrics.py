@@ -56,6 +56,7 @@ from .errors import DegenerateInput, InvalidInput
 from .numkit import Matrix, as_matrix, center_columns, check_symmetric, svd, sym_eig
 
 KERNEL_KINDS = ("linear", "rbf")
+SIMILARITY_KINDS = ("inner", "cosine")
 
 # Most elements CKNNA gathers at once, so its memory stays bounded for any k.
 _GATHER_ELEMENTS = 1 << 20
@@ -179,7 +180,7 @@ def _knn_indices(sim: Matrix, k: int) -> np.ndarray:
 def _similarity_features(x: Matrix, similarity: str) -> Matrix:
     if similarity == "cosine":
         return x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1e-30)
-    if similarity != "inner":
+    if similarity not in SIMILARITY_KINDS:
         raise InvalidInput(f"unknown similarity {similarity!r}")
     return x
 
@@ -434,6 +435,11 @@ class MetricConfig:
     kernel: str = "linear"
     rbf_gamma: float | None = None
     knn_similarity: str = "inner"
+
+    def __post_init__(self):
+        for name, kinds in (("kernel", KERNEL_KINDS), ("knn_similarity", SIMILARITY_KINDS)):
+            if getattr(self, name) not in kinds:
+                raise InvalidInput(f"{name} must be one of {kinds}, got {getattr(self, name)!r}")
 
 
 METRIC_NAMES = ("cca_linear", "cca_kernel", "cka", "svcca", "cknna")

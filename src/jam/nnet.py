@@ -8,10 +8,14 @@ the input width. A forward pass records a one-shot :class:`Tape`; backward
 consumes it and returns named parameter gradients plus the input gradient,
 written into caller-given arrays when it is handed them.
 
-Parameters can be packed into one contiguous vector (:class:`FlatParams`)
-that the layers then hold views into. The optimizer is AdamW with decoupled
-weight decay over that vector, paired with a cosine learning-rate schedule
-and global-norm gradient clipping of a gradient vector of the same layout.
+There is one parameter order: `Autoencoder.parameters` lists the layers last
+to first, each in its ``PARAMS`` order, which is the order backward writes
+their gradients in. Parameters can be packed in that order into one
+contiguous vector (:class:`FlatParams`) that the layers then hold views
+into, so a gradient of the same layout is written front to back. The
+optimizer is AdamW with decoupled weight decay over that vector, paired with
+a cosine learning-rate schedule and global-norm gradient clipping that sums
+squares tensor by tensor in vector order.
 ``grad_check`` validates any loss closure against central finite
 differences.
 """
@@ -65,18 +69,17 @@ def _silu_grad(a, sig):
 
 
 class _Layer:
-    """Trained arrays are the attributes in ``PARAMS``, named ``<layer>.<attr>``;
-    `backward` writes each one's gradient into ``grads[name]`` if present,
-    in the order of `grad_names`."""
+    """Trained arrays are the attributes in ``PARAMS``, named ``<layer>.<attr>``
+    and listed in the order `backward` writes each one's gradient, into
+    ``grads[name]`` if present."""
 
     PARAMS = ()
 
-    def param_items(self):
-        for attr in self.PARAMS:
-            yield f"{self.name}.{attr}", getattr(self, attr)
-
-    def grad_names(self) -> list:
+    def param_names(self) -> list:
         return [f"{self.name}.{attr}" for attr in self.PARAMS]
+
+    def param_items(self):
+        return zip(self.param_names(), (getattr(self, attr) for attr in self.PARAMS))
 
 
 class Dense(_Layer):
@@ -92,7 +95,7 @@ class Dense(_Layer):
 
     def backward(self, dy, cache, grads):
         x = cache
-        w, b = self.grad_names()
+        w, b = self.param_names()
         grads[w] = np.matmul(x.T, dy, out=grads.get(w))
         grads[b] = dy.sum(axis=0, out=grads.get(b))
         return dy @ self.w.T
@@ -117,7 +120,7 @@ class LayerNorm(_Layer):
 
     def backward(self, dy, cache, grads):
         xhat, s = cache
-        g, b = self.grad_names()
+        g, b = self.param_names()
         grads[g] = (dy * xhat).sum(axis=0, out=grads.get(g))
         grads[b] = dy.sum(axis=0, out=grads.get(b))
         dxhat = dy * self.g
@@ -148,7 +151,7 @@ class SwiGLU(_Layer):
         x, a, u, h, sig = cache
         da = dy * u * _silu_grad(a, sig)
         du = dy * h
-        wg, bg, wv, bv = self.grad_names()
+        wg, bg, wv, bv = self.param_names()
         grads[wg] = np.matmul(x.T, da, out=grads.get(wg))
         grads[bg] = da.sum(axis=0, out=grads.get(bg))
         grads[wv] = np.matmul(x.T, du, out=grads.get(wv))
@@ -180,7 +183,7 @@ class Dropout(_Layer):
 class ResidualMLP(_Layer):
     """y = x + Drop(SiLU(x W1 + b1) W2 + b2), both weights square."""
 
-    PARAMS = ("w1", "b1", "w2", "b2")
+    PARAMS = ("w2", "b2", "w1", "b1")  # backward reaches the second projection first
 
     def __init__(self, name: str, dim: int, dropout: float, rng: RngStream):
         self.name = name
@@ -189,10 +192,6 @@ class ResidualMLP(_Layer):
         self.w2 = _glorot(rng, dim, dim)
         self.b2 = np.zeros(dim)
         self.drop = Dropout(f"{name}.drop", dropout)
-
-    def grad_names(self) -> list:
-        # backward reaches the second projection first
-        return [f"{self.name}.{attr}" for attr in ("w2", "b2", "w1", "b1")]
 
     def forward(self, x, train, rng):
         a = x @ self.w1 + self.b1
@@ -204,7 +203,7 @@ class ResidualMLP(_Layer):
     def backward(self, dy, cache, grads):
         x, a, h, sig, mask = cache
         dm = self.drop.backward(dy, mask, grads)
-        w2, b2, w1, b1 = self.grad_names()
+        w2, b2, w1, b1 = self.param_names()
         grads[w2] = np.matmul(h.T, dm, out=grads.get(w2))
         grads[b2] = dm.sum(axis=0, out=grads.get(b2))
         da = (dm @ self.w2.T) * _silu_grad(a, sig)
@@ -268,14 +267,10 @@ class Autoencoder:
         self.dec_layers.append(Dense("dec.out", d, cfg.input_dim, rng))
 
     def parameters(self) -> dict:
-        layers = self.enc_layers + self.dec_layers
-        return {name: arr for layer in layers for name, arr in layer.param_items()}
-
-    def grad_order(self) -> list:
-        """Parameter names in the order `backward` writes their gradients:
-        layers last to first, each in its `grad_names` order."""
+        """Every trained array by name, in the order `backward` writes their
+        gradients: layers last to first, each in its ``PARAMS`` order."""
         layers = reversed(self.enc_layers + self.dec_layers)
-        return [name for layer in layers for name in layer.grad_names()]
+        return {name: arr for layer in layers for name, arr in layer.param_items()}
 
     def bind(self, flat: FlatParams, prefix: str = "") -> None:
         """Make each layer parameter the view ``flat[prefix + name]``, which
@@ -302,14 +297,14 @@ class Autoencoder:
         return z, h, Tape(enc_records, dec_records)
 
     def backward(self, tape: Tape, d_z, d_xhat, out: dict | None = None):
-        """Exact reverse-mode gradients; returns (named grads, dX). Each named
-        gradient is written into ``out[name]`` when ``out`` has that name
-        (a view of a flat gradient, say), else into a new array; the names
-        come in ``out``'s order, then in `grad_order`."""
+        """Exact reverse-mode gradients; returns (named grads, dX). The named
+        grads are ``out`` (or a new dict), set in `parameters` order: each
+        gradient is written into ``out[name]`` when ``out`` has that name (a
+        view of a flat gradient, say), else into a new array."""
         if tape.consumed:
             raise UsageError("tape already consumed")
         tape.consumed = True
-        grads = dict(out or {})
+        grads = {} if out is None else out
         d = np.asarray(d_xhat, dtype=np.float64)
         for layer, cache in reversed(tape.dec_records):
             d = layer.backward(d, cache, grads)
@@ -352,26 +347,27 @@ def cosine_lr(epoch: float, total_epochs: float, lr0: float, lr_min: float) -> f
     return lr_min + 0.5 * (lr0 - lr_min) * (1.0 + math.cos(math.pi * epoch / total_epochs))
 
 
-def global_grad_norm(grad, spans=None) -> float:
-    """L2 norm of a gradient vector: one dot product, or, with ``spans`` (a
-    list of [start, stop) that covers the vector), ``np.sum`` of the squares
-    of each span, added in that order. The order fixes the rounding of the
+def global_grad_norm(grad, offsets=None) -> float:
+    """L2 norm of a gradient vector: one dot product, or, with ``offsets``
+    (the tensor boundaries of a `FlatParams`), ``np.sum`` of the squares of
+    each tensor, added in vector order. That order fixes the rounding of the
     norm, and so of every clipped step after it."""
     with np.errstate(over="ignore", invalid="ignore"):  # inf norm is a legal answer mid-abort
-        if spans is None:
+        if offsets is None:
             return math.sqrt(grad @ grad)
-        squares = np.empty(max((stop - start for start, stop in spans), default=0))
+        squares = np.empty(np.diff(offsets).max(initial=0))
+        bounds = np.asarray(offsets).tolist()
         total = 0.0
-        for start, stop in spans:
+        for start, stop in zip(bounds, bounds[1:]):
             part = grad[start:stop]
             total += float(np.multiply(part, part, out=squares[: stop - start]).sum())
         return math.sqrt(total)
 
 
-def clip_grad_norm(grad, max_norm: float = 1.0, spans=None) -> float:
+def clip_grad_norm(grad, max_norm: float = 1.0, offsets=None) -> float:
     """Scale the gradient vector in place so its L2 norm (`global_grad_norm`
-    over ``spans``) is at most ``max_norm``; returns the norm it had before."""
-    norm = global_grad_norm(grad, spans)
+    over ``offsets``) is at most ``max_norm``; returns the norm it had before."""
+    norm = global_grad_norm(grad, offsets)
     if norm > max_norm:
         grad *= max_norm / norm
     return norm
@@ -416,11 +412,6 @@ class FlatParams(dict):
             arrays = {name[len(prefix) :]: self[name] for name in names}
             self._sections[prefix] = FlatParams(arrays, vector)
         return self._sections[prefix]
-
-    def spans(self, names) -> list:
-        """[start, stop) of each named array in the vector, in the given order."""
-        where = dict(zip(self, zip(self.offsets.tolist(), self.offsets[1:].tolist())))
-        return [where[name] for name in names]
 
     def name_at(self, index: int) -> str:
         """Name of the array that holds ``vector[index]``."""
@@ -571,9 +562,13 @@ def save_checkpoint(path, tensors: dict, meta: dict) -> None:
 
 
 def load_checkpoint(path):
-    """Returns (tensors, meta) as written by :func:`save_checkpoint`."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    """Returns (tensors, meta) as written by :func:`save_checkpoint`; a file
+    that cannot be read or parsed as one raises `InvalidInput`."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise InvalidInput(f"{path}: cannot read checkpoint: {exc.strerror}") from exc
     if len(raw) < _CKPT_HEADER.size:
         raise InvalidInput(f"{path}: truncated checkpoint header")
     magic, version, doc_len = _CKPT_HEADER.unpack_from(raw)
@@ -581,11 +576,18 @@ def load_checkpoint(path):
         raise InvalidInput(f"{path}: bad checkpoint magic {magic!r}")
     if version != CHECKPOINT_VERSION:
         raise InvalidInput(f"{path}: unsupported checkpoint version {version}")
-    doc = json.loads(raw[_CKPT_HEADER.size : _CKPT_HEADER.size + doc_len])
     base = _CKPT_HEADER.size + doc_len
-    tensors = {}
-    for entry in doc["tensors"]:
-        start = base + entry["offset"]
-        buf = raw[start : start + entry["nbytes"]]
-        tensors[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(entry["shape"]).copy()
-    return tensors, doc["meta"]
+    if len(raw) < base:
+        raise InvalidInput(f"{path}: truncated checkpoint document")
+    try:
+        doc = json.loads(raw[_CKPT_HEADER.size : base])
+        tensors = {}
+        for entry in doc["tensors"]:
+            start = base + entry["offset"]
+            buf = raw[start : start + entry["nbytes"]]
+            if len(buf) != entry["nbytes"]:
+                raise InvalidInput(f"{path}: truncated payload of tensor {entry['name']!r}")
+            tensors[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(entry["shape"]).copy()
+        return tensors, doc["meta"]
+    except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
+        raise InvalidInput(f"{path}: corrupt checkpoint: {exc}") from exc

@@ -10,10 +10,12 @@ early after ``patience`` consecutive non-improving validations and always
 returns the parameters of the best recorded validation. Epoch records give
 the mean and largest pre-clip gradient norm and the share of clipped steps.
 
-Every trained parameter lives in one float64 vector (`_joint_params`, a
-`nnet.FlatParams`): both autoencoders' layers hold views into it, and the
-gradient of a step is one vector of the same layout, so clipping, AdamW and
-the best/initial snapshots each work on one array.
+Every trained parameter lives in one float64 vector, `TrainedJAM.params` (a
+`nnet.FlatParams`), that the model owns: both autoencoders' layers hold views
+into it, and the logit scale is its last element. Its layout is the order
+backward writes gradients in, so the gradient of a step is one vector of the
+same layout, filled front to back, and clipping, AdamW and the best/initial
+snapshots each work on one array.
 
 The language autoencoder reconstructs positive and hard-negative texts in
 every objective (hard negatives must be encodable at evaluation time);
@@ -61,6 +63,8 @@ class TrainConfig:
     sim_cfg: SimilarityConfig = field(default_factory=SimilarityConfig)
 
     def __post_init__(self):
+        if not self.seeds:
+            raise InvalidInput("seeds must name at least one seed")
         if self.batch_size < 2:
             raise InvalidInput("batch_size must be >= 2 (contrastive denominators)")
         if self.epochs < 0:
@@ -118,15 +122,33 @@ class EarlyStopping:
         return False, self.streak >= self.patience
 
 
-@dataclass
 class TrainedJAM:
-    """Frozen pair of trained autoencoders plus similarity state."""
+    """A pair of autoencoders trained jointly, plus similarity state.
 
-    vision_ae: Autoencoder
-    language_ae: Autoencoder
-    sim_cfg: SimilarityConfig
-    log_scale: float | None
-    loss_cfg: LossConfig
+    ``params`` holds every trained parameter in one `FlatParams`: ``v.*``
+    (vision) and ``l.*`` (language), each in `Autoencoder.parameters` order,
+    then ``logit_scale`` as a one-element array when ``log_scale`` is given.
+    The autoencoders are bound to it: from here on their layers' parameters
+    are views into its vector.
+    """
+
+    def __init__(self, vision_ae: Autoencoder, language_ae: Autoencoder,
+                 sim_cfg: SimilarityConfig, log_scale: float | None = None):
+        self.vision_ae = vision_ae
+        self.language_ae = language_ae
+        self.sim_cfg = sim_cfg
+        arrays = {f"v.{name}": arr for name, arr in vision_ae.parameters().items()}
+        arrays.update((f"l.{name}", arr) for name, arr in language_ae.parameters().items())
+        if log_scale is not None:
+            arrays["logit_scale"] = np.array([log_scale])
+        self.params = FlatParams(arrays)
+        vision_ae.bind(self.params, "v.")
+        language_ae.bind(self.params, "l.")
+
+    @property
+    def log_scale(self) -> float | None:
+        """The learned log logit scale, or None when the scale is fixed."""
+        return float(self.params["logit_scale"][0]) if "logit_scale" in self.params else None
 
     def encode_vision(self, x):
         return self.vision_ae.encode(x)
@@ -135,42 +157,12 @@ class TrainedJAM:
         return self.language_ae.encode(x)
 
 
-def _named_params(vision: Autoencoder, language: Autoencoder, log_scale=None) -> dict:
-    """Every trained parameter by name: ``v.*`` (vision), ``l.*`` (language),
-    then ``logit_scale`` as a one-element array when ``log_scale`` is given."""
-    params = {f"v.{name}": arr for name, arr in vision.parameters().items()}
-    params.update((f"l.{name}", arr) for name, arr in language.parameters().items())
-    if log_scale is not None:
-        params["logit_scale"] = np.array([log_scale])
-    return params
-
-
-def _joint_params(vision: Autoencoder, language: Autoencoder, log_scale=None) -> FlatParams:
-    """Packs the `_named_params` of both autoencoders into one `FlatParams`
-    and binds the autoencoders to it: from here on their layers' parameters
-    are views into its vector."""
-    params = FlatParams(_named_params(vision, language, log_scale))
-    vision.bind(params, "v.")
-    language.bind(params, "l.")
-    return params
-
-
 def validate(model: TrainedJAM, ds: PairedDataset) -> float:
     """Binary image-to-text Recall@1 on eval-mode latents."""
     zv = model.encode_vision(ds.images)
     zlp = model.encode_language(ds.positives)
     zln = model.encode_language(ds.negatives)
     return recall_binary(zv, zlp, zln)
-
-
-def _grad_spans(vision: Autoencoder, language: Autoencoder, params: FlatParams) -> list:
-    """[start, stop) of every tensor of `_joint_params` in the order backward
-    writes their gradients: each autoencoder's `grad_order`, vision first,
-    then the logit scale. Clipping sums squares per tensor in this order,
-    which fixes the rounding of the norm and so the trained bits."""
-    names = [f"v.{name}" for name in vision.grad_order()]
-    names += [f"l.{name}" for name in language.grad_order()]
-    return params.spans(names + [name for name in ("logit_scale",) if name in params])
 
 
 def evaluate(model: TrainedJAM, ds: PairedDataset, seed: int) -> RetrievalResult:
@@ -186,21 +178,21 @@ def evaluate(model: TrainedJAM, ds: PairedDataset, seed: int) -> RetrievalResult
     )
 
 
-def train_step(vision, language, params: FlatParams, xv, xlp, xln, lam, alpha, cfg: TrainConfig, rng,
+def train_step(model: TrainedJAM, xv, xlp, xln, lam, alpha, cfg: TrainConfig, rng,
                grads: FlatParams | None = None):
-    """Objective and gradients of one joint step on one batch.
+    """Objective and gradients of one joint step on one batch, at the
+    model's current parameters.
 
-    ``params`` is the `_joint_params` both autoencoders are bound to; the
-    logit scale is read from it when it holds one. Forwards images, positive
-    texts and hard-negative texts in train mode (in that order, drawing
-    dropout from ``rng``), adds the lambda-weighted reconstruction of both
-    autoencoders to the alignment objective and backpropagates through both.
-    Returns (total, grads, parts): ``grads`` is the ``params.like()`` passed
-    in, or a new one, now holding the gradient, or None, with no backward
-    run, when ``total`` is not finite; ``parts`` is `losses.alignment_grads`'
-    parts plus ``recon_v``, ``recon_l``, ``align`` and ``total``.
+    Forwards images, positive texts and hard-negative texts in train mode (in
+    that order, drawing dropout from ``rng``), adds the lambda-weighted
+    reconstruction of both autoencoders to the alignment objective and
+    backpropagates through both. Returns (total, grads, parts): ``grads`` is
+    the ``model.params.like()`` passed in, or a new one, now holding the
+    gradient, or None, with no backward run, when ``total`` is not finite;
+    ``parts`` is `losses.alignment_grads`' parts plus ``recon_v``,
+    ``recon_l``, ``align`` and ``total``.
     """
-    log_scale = float(params["logit_scale"][0]) if "logit_scale" in params else None
+    vision, language = model.vision_ae, model.language_ae
     zv, xhat_v, tape_v = vision.forward(xv, "train", rng)
     zlp, xhat_lp, tape_lp = language.forward(xlp, "train", rng)
     zln, xhat_ln, tape_ln = language.forward(xln, "train", rng)
@@ -210,7 +202,7 @@ def train_step(vision, language, params: FlatParams, xv, xlp, xln, lam, alpha, c
     recon_l = losses.mse_recon(x_l, np.concatenate([xhat_lp, xhat_ln]))
     align, d_zv, d_zlp, d_zln, d_ls, parts = losses.alignment_grads(
         cfg.loss_cfg.objective, zv, zlp, zln, alpha=alpha, sim_cfg=cfg.sim_cfg,
-        log_scale=log_scale, include_positive=cfg.loss_cfg.include_positive_in_denominator,
+        log_scale=model.log_scale, include_positive=cfg.loss_cfg.include_positive_in_denominator,
     )
     total = lam * (recon_v + recon_l) + align
     parts.update(recon_v=recon_v, recon_l=recon_l, align=align, total=total)
@@ -225,7 +217,7 @@ def train_step(vision, language, params: FlatParams, xv, xlp, xln, lam, alpha, c
     # returned ~350 MB after every step and the next forward faulted it back
     # in (~25 K minor faults a step).
     if grads is None:
-        grads = params.like()
+        grads = model.params.like()
     d_xhat_v = lam * 2.0 * (xhat_v - xv) / xv.size
     scale_l = lam * 2.0 / x_l.size
     d_xhat_lp = scale_l * (xhat_lp - xlp)
@@ -260,27 +252,20 @@ def train(train_ds: PairedDataset, val_ds: PairedDataset, cfg: TrainConfig, seed
     rng_shuffle = root.fork()
     rng_dropout = root.fork()
 
-    vision = Autoencoder(cfg.ae_cfg_vision, rng_init_v)
-    language = Autoencoder(cfg.ae_cfg_language, rng_init_l)
     learnable = cfg.sim_cfg.logit_scale_mode == "learnable"
-    params = _joint_params(vision, language, cfg.sim_cfg.logit_scale_init if learnable else None)
+    model = TrainedJAM(
+        Autoencoder(cfg.ae_cfg_vision, rng_init_v),
+        Autoencoder(cfg.ae_cfg_language, rng_init_l),
+        cfg.sim_cfg,
+        cfg.sim_cfg.logit_scale_init if learnable else None,
+    )
+    params = model.params
     opt = AdamW(
         params,
         lr=cfg.lr0,
         weight_decay=cfg.weight_decay,
         no_decay={"logit_scale"},
     )
-    grad_spans = _grad_spans(vision, language, params)
-
-    def current_log_scale():
-        return float(params["logit_scale"][0]) if learnable else None
-
-    def restore(snap):
-        params.vector[...] = snap
-        model.log_scale = current_log_scale()
-        return model
-
-    model = TrainedJAM(vision, language, cfg.sim_cfg, current_log_scale(), cfg.loss_cfg)
     history = TrainHistory(seed=seed)
     init_snap = params.vector.copy()
     best_snap = None
@@ -305,14 +290,14 @@ def train(train_ds: PairedDataset, val_ds: PairedDataset, cfg: TrainConfig, seed
             if len(idx) < 2:
                 continue  # a 1-row tail cannot form a contrastive denominator
             total, grads, parts = train_step(
-                vision, language, params, train_ds.images[idx], train_ds.positives[idx],
-                train_ds.negatives[idx], lam, alpha, cfg, rng_dropout, grads,
+                model, train_ds.images[idx], train_ds.positives[idx], train_ds.negatives[idx],
+                lam, alpha, cfg, rng_dropout, grads,
             )
             if not math.isfinite(total):
                 aborted = True
                 break
 
-            norms.append(clip_grad_norm(grads.vector, 1.0, grad_spans))
+            norms.append(clip_grad_norm(grads.vector, 1.0, grads.offsets))
             opt.step(grads.vector, lr=lr)
             if learnable:
                 np.clip(
@@ -326,9 +311,9 @@ def train(train_ds: PairedDataset, val_ds: PairedDataset, cfg: TrainConfig, seed
         if aborted:
             history.stop_epoch = epoch
             history.stop_reason = "aborted_nonfinite"
-            salvage = restore(best_snap if best_snap is not None else init_snap)
+            params.vector[...] = best_snap if best_snap is not None else init_snap
             raise NonFiniteLoss(
-                f"non-finite loss at epoch {epoch}", history=history, model=salvage
+                f"non-finite loss at epoch {epoch}", history=history, model=model
             )
 
         denom = max(len(norms), 1)
@@ -342,7 +327,7 @@ def train(train_ds: PairedDataset, val_ds: PairedDataset, cfg: TrainConfig, seed
                 "lambda": lam,
                 "alpha": alpha,
                 "lr": lr,
-                "logit_scale": cfg.sim_cfg.scale(current_log_scale()),
+                "logit_scale": cfg.sim_cfg.scale(model.log_scale),
                 "grad_norm_mean": sum(norms) / denom,
                 "grad_norm_max": max(norms, default=0.0),
                 "clip_fraction": sum(norm > 1.0 for norm in norms) / denom,
@@ -351,7 +336,6 @@ def train(train_ds: PairedDataset, val_ds: PairedDataset, cfg: TrainConfig, seed
         stop_epoch = epoch + 1
 
         if (epoch + 1) % cfg.validate_every == 0:
-            model.log_scale = current_log_scale()
             score = validate(model, val_ds)
             history.validations.append({"epoch": epoch + 1, "recall_binary": score})
             improved, should_stop = stopper.update(score)
@@ -365,9 +349,8 @@ def train(train_ds: PairedDataset, val_ds: PairedDataset, cfg: TrainConfig, seed
 
     history.stop_epoch = stop_epoch
     history.stop_reason = stop_reason
-    model.log_scale = current_log_scale()
     if best_snap is not None:
-        restore(best_snap)
+        params.vector[...] = best_snap
     return model, history
 
 
@@ -429,7 +412,6 @@ def save_jam(path, model: TrainedJAM, cfg: TrainConfig, seed: int, extra_meta: d
 
     The optimizer state is not written; checkpoints that hold it (``opt.*``
     tensors) still load, since ``load_jam`` reads only the parameters."""
-    tensors = _named_params(model.vision_ae, model.language_ae, model.log_scale)
     meta = {
         "train_config": asdict(cfg),
         "seed": int(seed),
@@ -437,22 +419,27 @@ def save_jam(path, model: TrainedJAM, cfg: TrainConfig, seed: int, extra_meta: d
     }
     if extra_meta:
         meta.update(extra_meta)
-    save_checkpoint(path, tensors, meta)
+    save_checkpoint(path, model.params, meta)
 
 
 def load_jam(path):
     """Rebuild a TrainedJAM from a checkpoint; returns (model, meta)."""
     tensors, meta = load_checkpoint(path)
-    cfg = TrainConfig.from_dict(meta["train_config"])
-    vision = Autoencoder(cfg.ae_cfg_vision, RngStream(0))
-    language = Autoencoder(cfg.ae_cfg_language, RngStream(0))
-    log_scale = float(tensors["logit_scale"][0]) if "logit_scale" in tensors else None
-    params = _joint_params(vision, language, log_scale)
+    try:
+        cfg = TrainConfig.from_dict(meta["train_config"])
+    except (KeyError, TypeError) as exc:
+        raise InvalidInput(f"{path}: checkpoint has no valid train_config ({exc!r})") from exc
+    model = TrainedJAM(
+        Autoencoder(cfg.ae_cfg_vision, RngStream(0)),
+        Autoencoder(cfg.ae_cfg_language, RngStream(0)),
+        cfg.sim_cfg,
+        float(tensors["logit_scale"][0]) if "logit_scale" in tensors else None,
+    )
+    params = model.params
     if {k for k in tensors if k.startswith(("v.", "l."))} != set(params) - {"logit_scale"}:
         raise InvalidInput(f"{path}: checkpoint parameter names do not match the model")
     for name, view in params.items():
         if tensors[name].shape != view.shape:
             raise InvalidInput(f"{path}: checkpoint shape mismatch for {name}")
         view[...] = tensors[name]
-    model = TrainedJAM(vision, language, cfg.sim_cfg, log_scale, cfg.loss_cfg)
     return model, meta

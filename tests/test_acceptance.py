@@ -37,7 +37,7 @@ from jam.nnet import (
 )
 from jam.numkit import RngStream
 from jam.presets import BENCHMARK_SEEDS, benchmark_synth, benchmark_train_config, metric_screen_synth
-from jam.trainer import EarlyStopping, TrainConfig, _joint_params, train, train_on_split, train_step
+from jam.trainer import EarlyStopping, TrainConfig, TrainedJAM, train, train_on_split, train_step
 
 SIM = SimilarityConfig()
 
@@ -96,16 +96,17 @@ def _objective_closure(objective, alpha, include_positive=False):
         ),
         sim_cfg=SIM,
     )
-    vision = Autoencoder(cfg.ae_cfg_vision, RngStream(1))
-    language = Autoencoder(cfg.ae_cfg_language, RngStream(2))
-    params = _joint_params(vision, language, SIM.logit_scale_init)
+    model = TrainedJAM(
+        Autoencoder(cfg.ae_cfg_vision, RngStream(1)), Autoencoder(cfg.ae_cfg_language, RngStream(2)),
+        SIM, SIM.logit_scale_init,
+    )
     lam = losses.lambda_schedule(3, 10, cfg.loss_cfg)
 
     def step():
-        return train_step(vision, language, params, x_v, x_lp, x_ln, lam, alpha, cfg, RngStream(777))
+        return train_step(model, x_v, x_lp, x_ln, lam, alpha, cfg, RngStream(777))
 
     _, grads, _ = step()
-    return params, lambda: step()[0], grads
+    return model.params, lambda: step()[0], grads
 
 
 class TestCriterion1Gradients:

@@ -11,7 +11,7 @@ from jam.cli import main
 from jam.embed_io import read_embeddings, write_embeddings
 from jam.losses import LossConfig
 from jam.metrics import METRIC_NAMES
-from jam.nnet import Autoencoder, AutoencoderConfig, load_checkpoint
+from jam.nnet import Autoencoder, AutoencoderConfig, load_checkpoint, save_checkpoint
 from jam.numkit import RngStream
 from jam.trainer import TrainConfig, TrainedJAM, save_jam
 
@@ -135,6 +135,14 @@ class TestMetricsCommand:
         missing = tmp_path / "nope.json"
         assert run_cli(["metrics", "--manifest", missing, "--out-dir", tmp_path / "m"]) == 3
 
+    @pytest.mark.parametrize("flag, value", [("--kernel", "rbff"), ("--knn-similarity", "cos")])
+    def test_unknown_metric_option_exits_3(self, synth_dir, tmp_path, capsys, flag, value):
+        out = tmp_path / "m"
+        args = ["metrics", "--manifest", synth_dir / "manifest.json", "--out-dir", out, flag, value]
+        assert run_cli(args) == 3
+        assert repr(value) in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
 
 class TestTrainEvalCommands:
     def test_train_then_eval(self, synth_dir, tmp_path):
@@ -211,6 +219,47 @@ class TestTrainEvalCommands:
              "--out-dir", tmp_path / "out"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_empty_seeds_exit_3(self, synth_dir, tmp_path, source):
+        out = tmp_path / "out"
+        if source == "flag":
+            args = fast_train_args(synth_dir, out, seeds="")
+        else:
+            cfg_path = tmp_path / "seeds.json"
+            cfg_path.write_text(json.dumps({"seeds": []}))
+            args = fast_train_args(synth_dir, out)
+            args[args.index("--seeds") : args.index("--seeds") + 2] = ["--config", cfg_path]
+        assert run_cli(args) == 3
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "damage", ["missing", "corrupt_json", "document_past_end", "truncated_tensor", "no_train_config"]
+    )
+    def test_bad_checkpoint_exits_3(self, synth_dir, tmp_path, capsys, damage):
+        path = tmp_path / "m.jckp"
+        cfg = TrainConfig(ae_cfg_vision=AutoencoderConfig(16, [4], 3),
+                          ae_cfg_language=AutoencoderConfig(20, [4], 3))
+        model = TrainedJAM(Autoencoder(cfg.ae_cfg_vision, RngStream(1)),
+                           Autoencoder(cfg.ae_cfg_language, RngStream(2)), cfg.sim_cfg, 2.0)
+        save_jam(path, model, cfg, 5)
+        raw = bytearray(path.read_bytes())
+        if damage == "missing":
+            path.unlink()
+        elif damage == "no_train_config":
+            save_checkpoint(path, load_checkpoint(path)[0], {"seed": 5})
+        else:
+            if damage == "corrupt_json":
+                raw[16] = ord("!")  # the document's opening brace, after the 16-byte header
+            elif damage == "document_past_end":
+                raw[8:16] = len(raw).to_bytes(8, "little")
+            else:
+                del raw[-8:]  # the end of the last tensor
+            path.write_bytes(raw)
+        args = ["eval", "--checkpoint", path, "--manifest", synth_dir / "manifest.json",
+                "--out-dir", tmp_path / "eval"]
+        assert run_cli(args) == 3
+        assert str(path) in capsys.readouterr().err
 
     def test_missing_manifest_exits_3(self, tmp_path):
         code = run_cli(["train", "--manifest", tmp_path / "no.json", "--out-dir", tmp_path / "o",
@@ -348,7 +397,7 @@ class TestSurface:
         )
         vision = Autoencoder(cfg.ae_cfg_vision, RngStream(0))
         language = Autoencoder(cfg.ae_cfg_language, RngStream(1))
-        save_jam(tmp_path / "m.jckp", TrainedJAM(vision, language, cfg.sim_cfg, 2.0, cfg.loss_cfg), cfg, 7)
+        save_jam(tmp_path / "m.jckp", TrainedJAM(vision, language, cfg.sim_cfg, 2.0), cfg, 7)
         ae = {"dropout": 0.1, "hidden_dims": [4], "latent_dim": 3, "layernorm_eps": 1e-05}
         assert load_checkpoint(tmp_path / "m.jckp")[1] == {
             "format_version": 1,

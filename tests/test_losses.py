@@ -19,7 +19,7 @@ from jam.losses import (
 )
 from jam.nnet import Autoencoder, AutoencoderConfig
 from jam.numkit import RngStream
-from jam.trainer import TrainConfig, _joint_params, train_step
+from jam.trainer import TrainConfig, TrainedJAM, train_step
 
 SIM = SimilarityConfig()
 FIXED = SimilarityConfig(logit_scale_mode="fixed")
@@ -322,26 +322,27 @@ def step_problem(objective="spread", alpha=0.5, seed=19):
     )
     vision = Autoencoder(cfg.ae_cfg_vision, RngStream(seed))
     language = Autoencoder(cfg.ae_cfg_language, RngStream(seed + 1))
-    params = _joint_params(vision, language, cfg.sim_cfg.logit_scale_init)
+    model = TrainedJAM(vision, language, cfg.sim_cfg, cfg.sim_cfg.logit_scale_init)
     r = RngStream(seed + 2)
-    return cfg, vision, language, params, r.gaussian(6, 5), r.gaussian(6, 7), r.gaussian(6, 7)
+    return cfg, model, r.gaussian(6, 5), r.gaussian(6, 7), r.gaussian(6, 7)
 
 
 class TestTotalObjective:
     """The total objective as `trainer.train_step`, the code that trains, assembles it."""
 
     def test_lambda_zero_pure_alignment(self):
-        cfg, vision, language, params, xv, xlp, xln = step_problem(seed=19)
-        total, _, parts = train_step(vision, language, params, xv, xlp, xln, 0.0, 0.5, cfg, RngStream(0))
+        cfg, model, xv, xlp, xln = step_problem(seed=19)
+        total, _, parts = train_step(model, xv, xlp, xln, 0.0, 0.5, cfg, RngStream(0))
         assert abs(total - parts["align"]) < 1e-12
 
     def test_breakdown_composition(self):
-        cfg, vision, language, params, xv, xlp, xln = step_problem(seed=21)
+        cfg, model, xv, xlp, xln = step_problem(seed=21)
         lam = lambda_schedule(3, 10, cfg.loss_cfg)
-        total, _, parts = train_step(vision, language, params, xv, xlp, xln, lam, 0.5, cfg, RngStream(0))
+        total, _, parts = train_step(model, xv, xlp, xln, lam, 0.5, cfg, RngStream(0))
         assert abs(total - (lam * (parts["recon_v"] + parts["recon_l"]) + parts["align"])) < 1e-12
         # with dropout 0 the train-mode forward is the eval-mode forward
-        xhat_v = vision.forward(xv, "eval")[1]
+        language = model.language_ae
+        xhat_v = model.vision_ae.forward(xv, "eval")[1]
         xhat_l = np.concatenate([language.forward(xlp, "eval")[1], language.forward(xln, "eval")[1]])
         assert parts["recon_v"] == mse_recon(xv, xhat_v)
         assert parts["recon_l"] == mse_recon(np.concatenate([xlp, xln]), xhat_l)
@@ -351,10 +352,8 @@ class TestTotalObjective:
 
     def test_all_objectives_run(self):
         for objective in ("con", "negcon", "spread"):
-            cfg, vision, language, params, xv, xlp, xln = step_problem(objective, seed=23)
-            total, grads, _ = train_step(
-                vision, language, params, xv, xlp, xln, 1.0, 0.5, cfg, RngStream(0)
-            )
+            cfg, model, xv, xlp, xln = step_problem(objective, seed=23)
+            total, grads, _ = train_step(model, xv, xlp, xln, 1.0, 0.5, cfg, RngStream(0))
             assert math.isfinite(total)
             assert list(grads)[-1] == "logit_scale"
 

@@ -225,22 +225,34 @@ class TestAutoencoder:
         with pytest.raises(UsageError):
             ae.backward(tape, np.zeros_like(z), np.zeros_like(xhat))
 
-    def test_grad_order_is_backward_write_order(self):
+    def test_backward_writes_in_parameter_order(self):
         cfg = AutoencoderConfig(7, [6, 5], 4, dropout=0.1)
         ae = Autoencoder(cfg, RngStream(3))
         x = RngStream(4).gaussian(5, 7)
 
-        def backward(out=None):
-            z, xhat, tape = ae.forward(x, "train", RngStream(99))
-            return ae.backward(tape, z, xhat - x, out)[0]
+        class Recording(dict):
+            """Records the names backward sets, in order."""
 
-        grads = backward()
-        assert list(grads) == ae.grad_order()
-        assert sorted(ae.grad_order()) == sorted(ae.parameters())
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.order = []
+
+            def __setitem__(self, name, value):
+                self.order.append(name)
+                super().__setitem__(name, value)
+
+        def backward(out):
+            z, xhat, tape = ae.forward(x, "train", RngStream(99))
+            grads = ae.backward(tape, z, xhat - x, out)[0]
+            assert grads is out
+            return grads
+
+        fresh = backward(Recording())
+        assert fresh.order == list(fresh) == list(ae.parameters())
         flat = FlatParams(ae.parameters()).like()
-        written = backward(flat)
-        assert list(written) == list(ae.parameters())  # the order of ``out``
-        for name, g in grads.items():
+        written = backward(Recording(flat))  # the flat gradient's views
+        assert written.order == list(ae.parameters())
+        for name, g in fresh.items():
             assert written[name] is flat[name] and g.tobytes() == flat[name].tobytes()
 
     def test_zero_upstream_zero_grads(self):
@@ -457,16 +469,15 @@ class TestClip:
     def test_spans_sum_per_tensor_in_their_order(self):
         r = RngStream(6)
         grads = {"a": r.gaussian(40, 30), "b": r.normal(7), "c": r.gaussian(3, 300), "d": r.normal(1)}
-        flat = FlatParams(grads)
-        order = ["c", "a", "d", "b"]
+        flat = FlatParams({name: grads[name] for name in ["c", "a", "d", "b"]})
         total = 0.0
-        for name in order:  # a norm over named tensors, summed tensor by tensor
+        for name in flat:  # a norm over named tensors, summed tensor by tensor in vector order
             total += float(np.sum(grads[name] ** 2))
-        assert global_grad_norm(flat.vector, flat.spans(order)) == math.sqrt(total)
+        assert global_grad_norm(flat.vector, flat.offsets) == math.sqrt(total)
         assert global_grad_norm(flat.vector) == pytest.approx(math.sqrt(total), rel=1e-14)
         grad = flat.vector * 0.01
-        before = global_grad_norm(grad, flat.spans(order))
-        assert clip_grad_norm(grad, 0.25, flat.spans(order)) == before > 0.25
+        before = global_grad_norm(grad, flat.offsets)
+        assert clip_grad_norm(grad, 0.25, flat.offsets) == before > 0.25
         assert global_grad_norm(grad) == pytest.approx(0.25, rel=1e-14)
 
     @given(st.integers(0, 2**31 - 1), st.floats(0.1, 20.0))

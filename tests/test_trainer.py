@@ -13,9 +13,7 @@ from jam.numkit import RngStream
 from jam.trainer import (
     EarlyStopping,
     TrainConfig,
-    _grad_spans,
-    _joint_params,
-    _named_params,
+    TrainedJAM,
     evaluate,
     load_jam,
     save_jam,
@@ -143,9 +141,8 @@ class TestTrain:
     def test_nonfinite_step_runs_no_backward(self, tiny_data, monkeypatch):
         tr, _, _ = tiny_data
         cfg = tiny_cfg()
-        vision = Autoencoder(cfg.ae_cfg_vision, RngStream(1))
         language = Autoencoder(cfg.ae_cfg_language, RngStream(2))
-        params = _joint_params(vision, language)
+        model = TrainedJAM(Autoencoder(cfg.ae_cfg_vision, RngStream(1)), language, cfg.sim_cfg)
         language.parameters()["dec.out.b"][:] = 1e300  # reconstruction error overflows
 
         def no_backward(*args, **kwargs):
@@ -153,8 +150,7 @@ class TestTrain:
 
         monkeypatch.setattr(Autoencoder, "backward", no_backward)
         total, grads, parts = train_step(
-            vision, language, params, tr.images[:8], tr.positives[:8], tr.negatives[:8],
-            1.0, 0.5, cfg, RngStream(3),
+            model, tr.images[:8], tr.positives[:8], tr.negatives[:8], 1.0, 0.5, cfg, RngStream(3),
         )
         assert grads is None
         assert not math.isfinite(total)
@@ -196,9 +192,13 @@ class TestFlatLayout:
     def test_joint_params_are_views_of_one_vector(self, tiny_data):
         tr, _, _ = tiny_data
         vision, language = self._pair(tiny_cfg())
-        named = {name: arr.copy() for name, arr in _named_params(vision, language, 0.5).items()}
-        params = _joint_params(vision, language, 0.5)
+        named = {f"v.{name}": arr.copy() for name, arr in vision.parameters().items()}
+        named.update((f"l.{name}", arr.copy()) for name, arr in language.parameters().items())
+        named["logit_scale"] = np.array([0.5])
+        model = TrainedJAM(vision, language, SimilarityConfig(), 0.5)
+        params = model.params
         assert list(params) == list(named) and list(params)[-1] == "logit_scale"
+        assert model.log_scale == 0.5
         assert sum(view.size for view in params.values()) == params.vector.size
         for name, view in params.items():
             assert view.base is params.vector and view.tobytes() == named[name].tobytes()
@@ -207,15 +207,17 @@ class TestFlatLayout:
         params["v.enc.latent.b"] += 1.0
         np.testing.assert_allclose(vision.encode(tr.images[:4]), z + 1.0, rtol=0, atol=1e-12)
         zl = language.forward(tr.positives[:4])[0]
-        params.vector[params.offsets[len(vision.parameters())]] += 0.5  # first language weight
+        params["l.enc0.dense.w"][0, 0] += 0.5
         assert not np.array_equal(language.forward(tr.positives[:4])[0], zl)
+        params["logit_scale"][0] = 1.5
+        assert model.log_scale == 1.5
 
     @pytest.mark.parametrize("objective", ["con", "negcon", "spread"])
     def test_train_step_writes_every_gradient(self, tiny_data, objective, monkeypatch):
         tr, _, _ = tiny_data
         cfg = tiny_cfg(objective)
-        vision, language = self._pair(cfg)
-        params = _joint_params(vision, language, cfg.sim_cfg.logit_scale_init)
+        model = TrainedJAM(*self._pair(cfg), cfg.sim_cfg, cfg.sim_cfg.logit_scale_init)
+        params = model.params
         like = FlatParams.like
 
         def nan_like(self):
@@ -225,25 +227,11 @@ class TestFlatLayout:
 
         monkeypatch.setattr(FlatParams, "like", nan_like)
         total, grads, _ = train_step(
-            vision, language, params, tr.images[:8], tr.positives[:8], tr.negatives[:8],
-            1.0, 0.5, cfg, RngStream(3),
+            model, tr.images[:8], tr.positives[:8], tr.negatives[:8], 1.0, 0.5, cfg, RngStream(3),
         )
         assert math.isfinite(total) and list(grads) == list(params)
         # the new gradient vector started as NaN: every element was written
         assert grads.vector.size == params.vector.size and np.isfinite(grads.vector).all()
-
-    def test_grad_spans_cover_the_vector_in_backward_order(self, tiny_data):
-        vision, language = self._pair(tiny_cfg())
-        params = _joint_params(vision, language, 0.5)
-        spans = _grad_spans(vision, language, params)
-        covered = np.zeros(params.vector.size, dtype=int)
-        for start, stop in spans:
-            covered[start:stop] += 1
-        assert (covered == 1).all()
-        names = [params.name_at(start) for start, _ in spans]
-        assert names == [f"v.{n}" for n in vision.grad_order()] + [
-            f"l.{n}" for n in language.grad_order()] + ["logit_scale"]
-        assert all(stop - start == params[name].size for name, (start, stop) in zip(names, spans))
 
 
 class TestValidateAndEvaluate:
@@ -339,8 +327,7 @@ class TestCheckpointRoundTrip:
         model, _ = train(tr, va, cfg, seed=5)
         save_jam(tmp_path / "a.jckp", model, cfg, seed=5)
         loaded, _ = load_jam(tmp_path / "a.jckp")
-        want = _named_params(model.vision_ae, model.language_ae, model.log_scale)
-        got = _named_params(loaded.vision_ae, loaded.language_ae, loaded.log_scale)
+        want, got = model.params, loaded.params
         assert list(got) == list(want)
         assert all(got[k].tobytes() == want[k].tobytes() for k in want)
         save_jam(tmp_path / "b.jckp", loaded, cfg, seed=5)
