@@ -1,12 +1,17 @@
 #!/usr/bin/env python3
-"""Print what each benchmark workload trained: the checkpoint's SHA-256, the
-SHA-256 of the per-epoch history (sorted-key JSON), the stop reason and the
-held-out recalls after one set-up and one round at a seed.
+"""Print one SHA-256 per alignment objective over `losses.alignment_grads`'
+outputs on a seeded batch, then what each benchmark workload trained: the
+checkpoint's SHA-256, the SHA-256 of the per-epoch history (sorted-key JSON),
+the stop reason and the held-out recalls after one set-up and one round at a
+seed.
 
     python3 scripts/bit_digests.py --seed 5
 
-Two checkouts that print the same lines train, record and score the same
-bits on this numpy/OpenBLAS build. The workloads and their sizes are
+Two checkouts that print the same lines compute the same loss bits and
+train, record and score the same bits on this numpy/OpenBLAS build. Each
+loss digest covers the value, every gradient and the parts at alpha 0,
+0.25, 0.75 and 1, with and without the positive in the denominator, at a
+fixed and at a learnable logit scale. The workloads and their sizes are
 ``perfbench/workloads.WORKLOADS``; their files go to a temporary directory.
 """
 
@@ -23,13 +28,34 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 # as in perfbench/run.py: one BLAS thread unless the caller sets it
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+import numpy as np  # noqa: E402
 import workloads  # noqa: E402
+from jam import losses  # noqa: E402
+from jam.numkit import RngStream  # noqa: E402
+
+
+def loss_digests(seed):
+    r = RngStream(seed)
+    zv, zlp, zln = r.gaussian(32, 16), r.gaussian(32, 16), r.gaussian(32, 16)
+    scales = ((losses.SimilarityConfig(logit_scale_mode="fixed"), None), (losses.SimilarityConfig(), 2.5))
+    for objective in losses.OBJECTIVES:
+        digest = hashlib.sha256()
+        for alpha in (0.0, 0.25, 0.75, 1.0):
+            for include_positive in (False, True):
+                for sim_cfg, log_scale in scales:
+                    value, *grads, d_log_scale, parts = losses.alignment_grads(
+                        objective, zv, zlp, zln, alpha, sim_cfg, log_scale, include_positive)
+                    digest.update(repr((value, d_log_scale, parts)).encode("utf-8"))
+                    for grad in grads:
+                        digest.update(np.ascontiguousarray(grad).tobytes())
+        print(f"loss {objective}: sha256={digest.hexdigest()}", flush=True)
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, required=True)
     args = parser.parse_args()
+    loss_digests(args.seed)
     for name, workload in workloads.WORKLOADS.items():
         with tempfile.TemporaryDirectory() as workdir:
             pipeline = workload()

@@ -169,8 +169,8 @@ def _resolve_config(command: str, args) -> dict:
     if args.config is not None:
         try:
             doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except FileNotFoundError as exc:
-            raise ConfigError(f"config file not found: {args.config}") from exc
+        except OSError as exc:
+            raise ConfigError(f"{args.config}: cannot read config file: {exc.strerror}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
@@ -206,6 +206,12 @@ def _write_json(path, payload) -> None:
     )
 
 
+def _write_record(path, command: str, config: dict, **fields) -> None:
+    """An artifact: ``fields`` plus the command, its resolved config and the
+    format version."""
+    _write_json(path, {"command": command, "config": config, "format_version": FORMAT_VERSION, **fields})
+
+
 def _write_csv(path, header, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -214,9 +220,9 @@ def _write_csv(path, header, rows) -> None:
 
 
 def cmd_synth(config: dict) -> int:
+    synth_cfg = _build(embed_io.SynthConfig, config)
     out_dir = Path(config["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    synth_cfg = _build(embed_io.SynthConfig, config)
     ds, easy, latents = embed_io.synth_generate(synth_cfg)
     dtype = config["dtype"]
     files = {
@@ -237,10 +243,7 @@ def cmd_synth(config: dict) -> int:
         "n": synth_cfg.n,
     }
     _write_json(out_dir / "manifest.json", manifest)
-    _write_json(
-        out_dir / "run.json",
-        {"command": "synth", "config": config, "seed": config["seed"], "format_version": FORMAT_VERSION},
-    )
+    _write_record(out_dir / "run.json", "synth", config, seed=config["seed"])
     print(f"wrote {len(files)} embedding files + manifest to {out_dir}")
     return EXIT_OK
 
@@ -264,16 +267,9 @@ def cmd_metrics(config: dict) -> int:
     for setting, cells in report.errors.items():
         for metric_name, message in cells.items():
             print(f"warning: {setting}/{metric_name} failed: {message}")
-    _write_json(
-        out_dir / "report.json",
-        {
-            "command": "metrics",
-            "config": config,
-            "metric_config": report.config,
-            "scores": report.scores,
-            "errors": report.errors,
-            "format_version": FORMAT_VERSION,
-        },
+    _write_record(
+        out_dir / "report.json", "metrics", config,
+        metric_config=report.config, scores=report.scores, errors=report.errors,
     )
     rows = []
     for setting in sorted(report.scores):
@@ -313,41 +309,17 @@ def cmd_train(config: dict) -> int:
             model, history, result, _ = trainer.train_on_split(full_ds, cfg, seed)
         except NonFiniteLoss as exc:
             print(f"seed {seed}: aborted on non-finite loss", file=sys.stderr)
-            _write_json(
-                out_dir / f"history_{seed}.json",
-                {
-                    "command": "train",
-                    "config": config,
-                    "seed": seed,
-                    "partial": True,
-                    "history": asdict(exc.history) if exc.history else None,
-                    "format_version": FORMAT_VERSION,
-                },
+            _write_record(
+                out_dir / f"history_{seed}.json", "train", config,
+                seed=seed, partial=True, history=asdict(exc.history) if exc.history else None,
             )
             status = EXIT_NUMERIC
             continue
         trainer.save_jam(out_dir / f"checkpoint_{seed}.jckp", model, cfg, seed)
-        _write_json(
-            out_dir / f"history_{seed}.json",
-            {
-                "command": "train",
-                "config": config,
-                "seed": seed,
-                "history": asdict(history),
-                "format_version": FORMAT_VERSION,
-            },
-        )
-        _write_json(
-            out_dir / f"result_{seed}.json",
-            {
-                "command": "train",
-                "config": config,
-                "task": task,
-                "objective": config["objective"],
-                "seed": seed,
-                "result": asdict(result),
-                "format_version": FORMAT_VERSION,
-            },
+        _write_record(out_dir / f"history_{seed}.json", "train", config, seed=seed, history=asdict(history))
+        _write_record(
+            out_dir / f"result_{seed}.json", "train", config,
+            task=task, objective=config["objective"], seed=seed, result=asdict(result),
         )
         results.append(result)
         print(
@@ -356,16 +328,8 @@ def cmd_train(config: dict) -> int:
         )
     if results:
         agg = aggregate_seeds(results)
-        _write_json(
-            out_dir / "aggregate.json",
-            {
-                "command": "train",
-                "config": config,
-                "task": task,
-                "objective": config["objective"],
-                "aggregate": agg,
-                "format_version": FORMAT_VERSION,
-            },
+        _write_record(
+            out_dir / "aggregate.json", "train", config, task=task, objective=config["objective"], aggregate=agg,
         )
         rows = [
             [task, config["objective"], r.seed, repr(r.recall_binary), repr(r.recall_5way), r.n_queries]
@@ -402,17 +366,10 @@ def cmd_eval(config: dict) -> int:
     result = trainer.evaluate(model, ds, seed=seed)
     task = Path(config["manifest"]).stem
     objective = meta["train_config"]["loss_cfg"]["objective"]
-    payload = {
-        "command": "eval",
-        "config": config,
-        "task": task,
-        "objective": objective,
-        "seed": seed,
-        "split": split,
-        "result": asdict(result),
-        "format_version": FORMAT_VERSION,
-    }
-    _write_json(out_dir / "result.json", payload)
+    _write_record(
+        out_dir / "result.json", "eval", config,
+        task=task, objective=objective, seed=seed, split=split, result=asdict(result),
+    )
     _write_csv(
         out_dir / "result.csv",
         ["task", "objective", "seed", "recall_binary", "recall_5way", "n_queries"],
@@ -432,16 +389,7 @@ def cmd_sweep_alpha(config: dict) -> int:
     cfg = _train_config_from(config, full_ds, [seed])
     train_ds, val_ds, _ = embed_io.split_dataset(full_ds, seed=seed)
     report = trainer.sweep_alpha(train_ds, val_ds, cfg, config["alphas"], seed=seed)
-    _write_json(
-        out_dir / "sweep.json",
-        {
-            "command": "sweep-alpha",
-            "config": config,
-            "seed": seed,
-            "report": asdict(report),
-            "format_version": FORMAT_VERSION,
-        },
-    )
+    _write_record(out_dir / "sweep.json", "sweep-alpha", config, seed=seed, report=asdict(report))
     for entry in report.entries:
         print(f"alpha={entry.alpha:.3f} best_val_recall={entry.best_val_recall:.4f}")
     print(f"best alpha: {report.best_alpha}")

@@ -52,8 +52,11 @@ def write_embeddings(path, m: Matrix, dtype: str = "f64") -> None:
 
 def read_embeddings(path) -> Matrix:
     """Read a JEMB file back as float64 (exact promotion from f32)."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise FormatError(f"{path}: cannot read embeddings: {exc.strerror}") from exc
     if len(raw) < _HEADER.size:
         raise FormatError(f"{path}: truncated header ({len(raw)} bytes)")
     magic, version, code, rows, cols = _HEADER.unpack_from(raw)
@@ -127,8 +130,8 @@ def read_manifest(manifest_path) -> dict:
     mpath = Path(manifest_path)
     try:
         doc = json.loads(mpath.read_text(encoding="utf-8"))
-    except FileNotFoundError as exc:
-        raise ManifestError(f"manifest not found: {mpath}") from exc
+    except OSError as exc:
+        raise ManifestError(f"{mpath}: cannot read manifest: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise ManifestError(f"manifest is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -153,11 +156,8 @@ def load_paired_dataset(manifest_path) -> PairedDataset:
     doc = read_manifest(manifest_path)
     mats = {}
     for key in ("images", "positives", "negatives"):
-        path = doc[key]
-        if not Path(path).exists():
-            raise ManifestError(f"manifest references missing file: {path}")
         try:
-            mats[key] = read_embeddings(path)
+            mats[key] = read_embeddings(doc[key])
         except FormatError as exc:
             raise ManifestError(str(exc)) from exc
     rows = {key: m.shape[0] for key, m in mats.items()}
@@ -220,6 +220,9 @@ class SynthConfig:
         for name in ("n", "latent_dim", "context_dims", "fine_dims", "d_v", "d_l"):
             if getattr(self, name) < 1:
                 raise InvalidInput(f"{name} must be >= 1")
+        for name in ("d_v", "d_l"):  # an isometric map needs at least as many outputs as inputs
+            if getattr(self, name) < self.latent_dim:
+                raise InvalidInput(f"{name} must be >= latent_dim ({self.latent_dim})")
         if self.context_dims + self.fine_dims != self.latent_dim:
             raise InvalidInput("context_dims + fine_dims must equal latent_dim")
         if self.noise_std < 0:

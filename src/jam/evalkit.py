@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .numkit import Matrix, RngStream
+from .numkit import RngStream, unit_rows
 
 
 @dataclass
@@ -24,17 +24,11 @@ class RetrievalResult:
     seed: int
 
 
-def _unit_rows(z) -> Matrix:
-    m = np.asarray(z, dtype=np.float64)
-    norms = np.linalg.norm(m, axis=1, keepdims=True)
-    return m / np.maximum(norms, 1e-30)
-
-
 def binary_hits(zv, zlp, zln) -> np.ndarray:
     """Per-query outcomes: True where the positive strictly beats its hard negative."""
-    uv = _unit_rows(zv)
-    sp = np.sum(uv * _unit_rows(zlp), axis=1)
-    sn = np.sum(uv * _unit_rows(zln), axis=1)
+    uv = unit_rows(zv)
+    sp = np.sum(uv * unit_rows(zlp), axis=1)
+    sn = np.sum(uv * unit_rows(zln), axis=1)
     return sp > sn
 
 
@@ -66,9 +60,9 @@ def recall_5way(zv, zlp, zln, rng: RngStream) -> float:
     n = np.asarray(zv).shape[0]
     if n < 5:
         raise InvalidInput(f"5-way recall needs n >= 5, got {n}")
-    uv = _unit_rows(zv)
-    up = _unit_rows(zlp)
-    un = _unit_rows(zln)
+    uv = unit_rows(zv)
+    up = unit_rows(zlp)
+    un = unit_rows(zln)
     sp = np.sum(uv * up, axis=1)
     sn = np.sum(uv * un, axis=1)
     distractors = sample_distractors(n, rng)

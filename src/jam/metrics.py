@@ -53,7 +53,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import DegenerateInput, InvalidInput
-from .numkit import Matrix, as_matrix, center_columns, check_symmetric, svd, sym_eig
+from .numkit import Matrix, as_matrix, center_columns, check_symmetric, svd, sym_eig, unit_rows
 
 KERNEL_KINDS = ("linear", "rbf")
 SIMILARITY_KINDS = ("inner", "cosine")
@@ -179,7 +179,7 @@ def _knn_indices(sim: Matrix, k: int) -> np.ndarray:
 
 def _similarity_features(x: Matrix, similarity: str) -> Matrix:
     if similarity == "cosine":
-        return x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1e-30)
+        return unit_rows(x)
     if similarity not in SIMILARITY_KINDS:
         raise InvalidInput(f"unknown similarity {similarity!r}")
     return x

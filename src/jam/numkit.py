@@ -27,6 +27,12 @@ def as_matrix(a, name: str = "matrix") -> Matrix:
     return m
 
 
+def unit_rows(x) -> Matrix:
+    """Each row of ``x`` (as float64) over its Euclidean norm; zero rows stay zero."""
+    m = np.asarray(x, dtype=np.float64)
+    return m / np.maximum(np.linalg.norm(m, axis=1, keepdims=True), 1e-30)
+
+
 def svd(a: Matrix) -> tuple[Matrix, np.ndarray, Matrix]:
     """Thin SVD: A = U @ diag(S) @ Vt with S non-negative and descending.
 

@@ -363,7 +363,7 @@ class TestCriterion5ExactLossValues:
 
         r = RngStream(1)
         zv, zlp, zln = r.gaussian(n, d), r.gaussian(n, d), r.gaussian(n, d)
-        concon = losses.loss_concon(zv, np.concatenate([zlp, zln]), None, SIM)
+        concon = losses.alignment_grads("spread", zv, zlp, zln, 0.5, SIM)[5]["concon"]
         at_0 = losses.alignment_grads("spread", zv, zlp, zln, 0.0, SIM)[5]
         at_1 = losses.alignment_grads("spread", zv, zlp, zln, 1.0, SIM)[5]
         assert at_0["spread_vl"] == concon

@@ -69,6 +69,13 @@ class TestSynthCommand:
         assert run["seed"] == 5
         assert "format_version" in run
 
+    @pytest.mark.parametrize("flag", ["--d-v", "--d-l"])
+    def test_width_below_latent_dim_exits_3(self, tmp_path, capsys, flag):
+        out = tmp_path / "synth"
+        assert run_cli(["synth", flag, 8, "--latent-dim", 16, "--out-dir", out]) == 3
+        assert "latent_dim" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestMetricsCommand:
     def test_full_grid(self, synth_dir, tmp_path):
@@ -134,6 +141,23 @@ class TestMetricsCommand:
     def test_bad_manifest_exits_3(self, tmp_path):
         missing = tmp_path / "nope.json"
         assert run_cli(["metrics", "--manifest", missing, "--out-dir", tmp_path / "m"]) == 3
+
+    @pytest.mark.parametrize("where, code", [("manifest", 3), ("embeddings", 3), ("config", 2)])
+    def test_directory_in_place_of_a_file(self, synth_dir, tmp_path, capsys, where, code):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        manifest = synth_dir / "manifest.json"
+        args = ["metrics", "--out-dir", tmp_path / "m"]
+        if where == "manifest":
+            manifest = folder
+        elif where == "embeddings":
+            manifest = tmp_path / "manifest.json"
+            manifest.write_text(json.dumps({"images": str(folder), "positives": str(synth_dir / "positives.jemb"),
+                                            "negatives": str(synth_dir / "negatives.jemb")}))
+        else:
+            args += ["--config", folder]
+        assert run_cli(args + ["--manifest", manifest]) == code
+        assert str(folder) in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value", [("--kernel", "rbff"), ("--knn-similarity", "cos")])
     def test_unknown_metric_option_exits_3(self, synth_dir, tmp_path, capsys, flag, value):

@@ -7,14 +7,12 @@ from hypothesis import strategies as st
 
 from jam.errors import ConfigError, DegenerateInput, InvalidInput
 from jam.losses import (
-    ContextSets,
     LossConfig,
     SimilarityConfig,
     _LogitGraph,
     alignment_grads,
-    alpha_schedule,
+    alpha_at,
     lambda_schedule,
-    loss_concon,
     mse_recon,
 )
 from jam.nnet import Autoencoder, AutoencoderConfig
@@ -150,21 +148,17 @@ class TestConCon:
         anchors = RngStream(1).gaussian(n, d)
         positives = anchors * 2.0
         negatives = anchors * 0.5
-        texts = np.concatenate([positives, negatives])
-        contexts = ContextSets(
-            pairs=np.array([[i, n + i] for i in range(n)]), n_texts=2 * n
-        )
         sharp = SimilarityConfig(logit_scale_mode="fixed", tau=0.01)
         # complement members are other anchors' directions; make them opposed
         # by flipping anchors so cross-anchor cosines are far below 1
-        loss = loss_concon(anchors, texts, contexts, sharp)
+        loss = loss_value("spread", anchors, positives, negatives, sim=sharp, part="concon")
         uniform_loss = math.log(2 * n - 1)
         assert loss < uniform_loss / 100
 
     def test_uniform_value(self):
         n = 5
         zv, zlp, zln = uniform_batch(n=n)
-        value = loss_concon(zv, np.concatenate([zlp, zln]), None, SIM)
+        value = loss_value("spread", zv, zlp, zln, part="concon")
         assert abs(value - math.log(2 * n - 1)) < 1e-9
 
     def test_matches_double_loop(self):
@@ -184,13 +178,13 @@ class TestConCon:
                 inner += -np.log(np.exp(s[i, c]) / denom)
             expected += inner / 2
         expected /= n
-        assert abs(loss_concon(zv, texts, None, sim) - expected) < 1e-9
+        assert abs(loss_value("spread", zv, texts[:n], texts[n:], sim=sim, part="concon") - expected) < 1e-9
 
     def test_batch_of_one_rejected(self):
         zv = RngStream(3).gaussian(1, 4)
         texts = RngStream(4).gaussian(2, 4)
         with pytest.raises(InvalidInput):
-            loss_concon(zv, texts, None, SIM)
+            loss_value("spread", zv, texts[:1], texts[1:], part="concon")
 
 
 class TestContextNce:
@@ -226,7 +220,7 @@ class TestContextNce:
 class TestSpread:
     def test_alpha_endpoints_bitwise(self):
         zv, zlp, zln = batch(13)
-        concon = loss_concon(zv, np.concatenate([zlp, zln]), None, SIM)
+        concon = loss_value("spread", zv, zlp, zln, alpha=0.5, part="concon")
         ctx = loss_value("spread", zv, zlp, zln, alpha=1.0, part="contextnce")
         assert loss_value("spread", zv, zlp, zln, alpha=0.0, part="spread_vl") == concon
         assert loss_value("spread", zv, zlp, zln, alpha=1.0, part="spread_vl") == ctx
@@ -234,7 +228,7 @@ class TestSpread:
     def test_composition_formula(self):
         zv, zlp, zln = batch(14)
         alpha = 0.5
-        concon = loss_concon(zv, np.concatenate([zlp, zln]), None, SIM)
+        concon = loss_value("spread", zv, zlp, zln, alpha=0.0, part="concon")
         ctx = loss_value("spread", zv, zlp, zln, alpha=1.0, part="contextnce")
         lv = loss_value("con", zv, zlp, part="lv")
         expected = 0.5 * ((1 - alpha) * concon + alpha * ctx + lv)
@@ -259,6 +253,15 @@ class TestSpread:
         for alpha in (-0.1, float("nan")):
             with pytest.raises(InvalidInput):
                 alignment_grads(objective, zv, zlp, zln, alpha, SIM)
+
+    @pytest.mark.parametrize("objective", ["con", "negcon", "spread"])
+    def test_alignment_grads_rejects_mismatched_text_rows(self, objective):
+        zv, zlp, zln = batch(17)
+        with pytest.raises(InvalidInput):
+            alignment_grads(objective, zv, zlp[:-1], zln, 0.5, SIM)
+        if objective != "con":  # con never reads zln
+            with pytest.raises(InvalidInput):
+                alignment_grads(objective, zv, zlp, zln[:-1], 0.5, SIM)
 
 
 class TestMse:
@@ -288,23 +291,28 @@ class TestSchedules:
         assert abs(lambda_schedule(50, 100, cfg) - 0.55) < 1e-12
 
     def test_alpha_fixed_and_linear(self):
-        assert alpha_schedule(0.5, 3, 10) == 0.5
-        assert alpha_schedule(("fixed", 0.3), 7, 10) == 0.3
-        assert alpha_schedule(("linear", 0.9, 0.1), 0, 10) == 0.9
-        assert abs(alpha_schedule(("linear", 0.9, 0.1), 10, 10) - 0.1) < 1e-15
+        assert alpha_at(LossConfig(alpha=0.3), 7, 10) == 0.3
+        linear = LossConfig(alpha_schedule=("linear", 0.9, 0.1))
+        assert alpha_at(linear, 0, 10) == 0.9
+        assert abs(alpha_at(linear, 10, 10) - 0.1) < 1e-15
+        # a JSON round trip turns the tuple into a list, which reads the same
+        assert alpha_at(LossConfig(alpha_schedule=["linear", 0.9, 0.1]), 4, 10) == alpha_at(linear, 4, 10)
 
     def test_malformed_specs(self):
         with pytest.raises(ConfigError):
-            alpha_schedule(("sweep", [0.1, 0.5]), 0, 10)
+            LossConfig(alpha_schedule=("sweep", [0.1, 0.5]))
         with pytest.raises(ConfigError):
-            alpha_schedule("nonsense", 0, 10)
+            LossConfig(alpha_schedule="nonsense")
 
-    @pytest.mark.parametrize("spec", [("nonsense",), ("linear", "a", 1.0), ("fixed", None), ("sweep", [0.5])])
+    # a bare number and ("fixed", v) would restate ``alpha``; neither is a schedule
+    @pytest.mark.parametrize(
+        "spec", [("nonsense",), ("linear", "a", 1.0), ("fixed", None), ("sweep", [0.5]), 0.5, ("fixed", 0.3)]
+    )
     def test_config_rejects_malformed_schedule(self, spec):
         with pytest.raises(ConfigError):
             LossConfig(alpha_schedule=spec)
 
-    @pytest.mark.parametrize("spec", [("linear", 0.0, 2.0), ("linear", -0.5, 1.0), ("fixed", 1.5)])
+    @pytest.mark.parametrize("spec", [("linear", 0.0, 2.0), ("linear", -0.5, 1.0), ("linear", 0.5, float("nan"))])
     def test_config_rejects_schedule_outside_unit_interval(self, spec):
         with pytest.raises(InvalidInput):
             LossConfig(alpha_schedule=spec)
@@ -453,5 +461,5 @@ class TestInvariances:
         zv, zlp, zln = r.gaussian(4, 5), r.gaussian(4, 5), r.gaussian(4, 5)
         assert loss_value("con", zv, zlp, include_positive=True) >= 0.0
         assert loss_value("negcon", zv, zlp, zln, include_positive=True) >= 0.0
-        assert loss_concon(zv, np.concatenate([zlp, zln]), None, SIM) >= 0.0
+        assert loss_value("spread", zv, zlp, zln, part="concon") >= 0.0
         assert loss_value("spread", zv, zlp, zln, alpha=1.0, part="contextnce") >= 0.0
