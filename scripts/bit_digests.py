@@ -11,8 +11,11 @@ Two checkouts that print the same lines compute the same loss bits and
 train, record and score the same bits on this numpy/OpenBLAS build. Each
 loss digest covers the value, every gradient and the parts at alpha 0,
 0.25, 0.75 and 1, with and without the positive in the denominator, at a
-fixed and at a learnable logit scale. The workloads and their sizes are
-``perfbench/workloads.WORKLOADS``; their files go to a temporary directory.
+fixed and at a learnable logit scale, on two seeded batches: 32 rows, and
+100 rows, whose 200-text pool is longer than numpy's 128-element pairwise
+summation block, so a reordered row sum shows. con runs with and without
+``zln``. The workloads and their sizes are ``perfbench/workloads.WORKLOADS``;
+their files go to a temporary directory.
 """
 
 import argparse
@@ -36,18 +39,20 @@ from jam.numkit import RngStream  # noqa: E402
 
 def loss_digests(seed):
     r = RngStream(seed)
-    zv, zlp, zln = r.gaussian(32, 16), r.gaussian(32, 16), r.gaussian(32, 16)
+    batches = [[r.gaussian(n, 16) for _ in range(3)] for n in (32, 100)]
     scales = ((losses.SimilarityConfig(logit_scale_mode="fixed"), None), (losses.SimilarityConfig(), 2.5))
     for objective in losses.OBJECTIVES:
         digest = hashlib.sha256()
-        for alpha in (0.0, 0.25, 0.75, 1.0):
-            for include_positive in (False, True):
-                for sim_cfg, log_scale in scales:
-                    value, *grads, d_log_scale, parts = losses.alignment_grads(
-                        objective, zv, zlp, zln, alpha, sim_cfg, log_scale, include_positive)
-                    digest.update(repr((value, d_log_scale, parts)).encode("utf-8"))
-                    for grad in grads:
-                        digest.update(np.ascontiguousarray(grad).tobytes())
+        for zv, zlp, zln in batches:
+            for text_negatives in ((zln, None) if objective == "con" else (zln,)):
+                for alpha in (0.0, 0.25, 0.75, 1.0):
+                    for include_positive in (False, True):
+                        for sim_cfg, log_scale in scales:
+                            value, *grads, d_log_scale, parts = losses.alignment_grads(
+                                objective, zv, zlp, text_negatives, alpha, sim_cfg, log_scale, include_positive)
+                            digest.update(repr((value, d_log_scale, parts)).encode("utf-8"))
+                            for grad in grads:
+                                digest.update(np.ascontiguousarray(grad).tobytes())
         print(f"loss {objective}: sha256={digest.hexdigest()}", flush=True)
 
 

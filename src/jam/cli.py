@@ -171,8 +171,8 @@ def _resolve_config(command: str, args) -> dict:
             doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except OSError as exc:
             raise ConfigError(f"{args.config}: cannot read config file: {exc.strerror}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+        except ValueError as exc:  # bad JSON or bytes that are not UTF-8
+            raise ConfigError(f"{args.config}: config file is not valid UTF-8 JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError("config file must hold a JSON object")
         unknown = set(doc) - set(keys)

@@ -132,8 +132,8 @@ def read_manifest(manifest_path) -> dict:
         doc = json.loads(mpath.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ManifestError(f"{mpath}: cannot read manifest: {exc.strerror}") from exc
-    except json.JSONDecodeError as exc:
-        raise ManifestError(f"manifest is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # bad JSON or bytes that are not UTF-8
+        raise ManifestError(f"{mpath}: manifest is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ManifestError("manifest must be a JSON object")
     unknown = set(doc) - _MANIFEST_KEYS

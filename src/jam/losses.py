@@ -8,19 +8,21 @@ temperature-scaled cosines; every softmax-style ratio is evaluated in log
 space with max subtraction, so values stay finite for any scale <= 100.
 
 Every objective is half the sum of two InfoNCE terms (van den Oord et al.,
-2018). The text->image term (``lv``) is the same for all three: each
-positive text against the batch's images. The image->text term differs:
+2018), and every InfoNCE term is one call of ``_nce(s, pick, drop, weight)``:
+each row of a logit block scores its ``pick`` column against the row less
+at most one ``drop`` column. The text->image term (``lv``) is the same for
+all three: each positive text against the batch's images. The image->text
+term differs:
 
-con         each image against the n positives; the positive is excluded
-            from the denominator by default (printed form), with
-            ``include_positive`` switching to the standard variant.
-negcon      each image against the 2n-text pool (excluding only the anchor's
-            own positive); leading 1/(2n) weight.
-spread      (1-alpha) * ConCon + alpha * contextNCE.
-
-ConCon pulls the anchor toward its two similar-context texts (its positive
-and its hard negative) against the rest of the pool; contextNCE sharpens
-the positive against the hard negative inside that two-element context.
+con         each image against the n positives; the positive is dropped
+            from the denominator by default (printed form), and
+            ``include_positive`` keeps it (the standard variant).
+negcon      the same against the 2n-text pool; leading 1/(2n) weight.
+spread      (1-alpha) * ConCon + alpha * contextNCE. ConCon pulls the
+            anchor toward its two similar-context texts: it picks the
+            positive and drops the hard negative, then the reverse.
+            contextNCE sharpens the positive against the hard negative: it
+            picks the positive in the n x 2 block [positive, hard negative].
 
 ``alignment_grads`` returns an objective's value, its named parts and
 exact gradients w.r.t. all latent inputs and the learnable log scale.
@@ -98,35 +100,26 @@ def _normalize_backward(du, u, norms):
     return (du - u * inner) / norms
 
 
-def _masked_nce(s, row_idx, pos_idx, pool_mask, weights):
-    """sum_k w_k * (LSE over the row's pool - picked logit); returns (loss, dS).
-
-    Positives outside their own pool are legal (printed-form exclusion).
-    """
-    rows = s[row_idx]
-    masked = np.where(pool_mask, rows, -np.inf)
-    mx = masked.max(axis=1, keepdims=True)
-    ex = np.exp(masked - mx)
-    denom = ex.sum(axis=1, keepdims=True)
-    lse = (mx + np.log(denom)).ravel()
-    a = len(row_idx)
-    picked = rows[np.arange(a), pos_idx]
-    loss = float(np.sum(weights * (lse - picked)))
-    d_rows = (ex / denom) * weights[:, None]
-    d_rows[np.arange(a), pos_idx] -= weights
-    ds = np.zeros_like(s)
-    np.add.at(ds, row_idx, d_rows)
-    return loss, ds
-
-
-def _infonce_square(s, include_positive):
-    """Row-to-column InfoNCE on a square logit matrix (diagonal pairs)."""
-    n = s.shape[0]
-    pool = np.ones((n, n), dtype=bool)
-    if not include_positive:
-        pool &= ~np.eye(n, dtype=bool)
-    idx = np.arange(n)
-    return _masked_nce(s, idx, idx, pool, np.full(n, 1.0 / n))
+def _nce(s, pick, drop, weight):
+    """Term k is weight * (LSE of row k of ``s`` less column ``drop[k]`` -
+    s[k, pick[k]]); returns the terms and dS. ``drop=None`` keeps every
+    column, and the pick may be the dropped column (printed form). dS is made
+    in place in one C-ordered copy of ``s``: a view's default copy keeps its
+    order, and a row sum in another order moves the bits."""
+    rows = np.arange(s.shape[0])
+    ds = np.array(s, order="C")
+    picked = ds[rows, pick]
+    if drop is not None:
+        ds[rows, drop] = -np.inf
+    mx = ds.max(axis=1, keepdims=True)
+    ds -= mx
+    np.exp(ds, out=ds)
+    denom = ds.sum(axis=1, keepdims=True)
+    terms = weight * ((mx + np.log(denom)).ravel() - picked)
+    ds /= denom
+    ds *= weight
+    ds[rows, pick] -= weight
+    return terms, ds
 
 
 class _LogitGraph:
@@ -149,32 +142,6 @@ class _LogitGraph:
         # d loss / d log_scale = sum(dS * S) since S is linear in scale = e^ls
         dls = float(np.sum(ds * self.s)) if self.learnable else 0.0
         return dzv, dzt, dls
-
-
-def _concon_terms(s2):
-    """Two terms per anchor i, one per member of its context {i, n + i}: that
-    member against the pool less the context."""
-    n = s2.shape[0]
-    idx = np.arange(n)
-    rest = np.ones((n, 2 * n), dtype=bool)
-    rest[idx, idx] = rest[idx, n + idx] = False
-    pools = []
-    for member in (idx, n + idx):
-        pool = rest.copy()
-        pool[idx, member] = True
-        pools.append(pool)
-    return _masked_nce(
-        s2, np.concatenate([idx, idx]), np.concatenate([idx, n + idx]),
-        np.concatenate(pools, axis=0), np.full(2 * n, 1.0 / (2 * n)),
-    )
-
-
-def _contextnce_terms(s2):
-    n = s2.shape[0]
-    idx = np.arange(n)
-    pool = np.zeros((n, 2 * n), dtype=bool)
-    pool[idx, idx] = pool[idx, n + idx] = True
-    return _masked_nce(s2, idx, idx, pool, np.full(n, 1.0 / n))
 
 
 def mse_recon(x, xhat) -> float:
@@ -255,33 +222,40 @@ def alignment_grads(
         texts = np.concatenate([zlp, zln])
     g = _LogitGraph(zv, texts, sim_cfg, log_scale)
 
-    if objective == "con":
-        vl, ds_vl = _infonce_square(g.s, include_positive)
-        parts = {"vl": vl}
-    elif objective == "negcon":
-        idx = np.arange(n)
-        pool = np.ones((n, 2 * n), dtype=bool)
-        if not include_positive:
-            pool[idx, idx] = False
-        vl, ds_vl = _masked_nce(g.s, idx, idx, pool, np.full(n, 1.0 / (2 * n)))
+    idx = np.arange(n)
+    drop = None if include_positive else idx  # printed form: drop the positive
+    if objective != "spread":  # each image against the whole pool, 1/(pool size)
+        terms, ds_vl = _nce(g.s, idx, drop, 1.0 / g.s.shape[1])
+        vl = float(np.sum(terms))
         parts = {"vl": vl}
     else:
-        concon, ds_concon = _concon_terms(g.s)
-        ctx, ds_ctx = _contextnce_terms(g.s)
+        # ConCon: pick one member of each context {i, n + i}, drop the other
+        pos_terms, ds_vl = _nce(g.s, idx, n + idx, 1.0 / (2 * n))
+        neg_terms, ds_neg = _nce(g.s, n + idx, idx, 1.0 / (2 * n))
+        ds_vl += ds_neg
+        del ds_neg
+        concon = float(np.sum(np.concatenate([pos_terms, neg_terms])))
+        # contextNCE: the positive against the hard negative, nothing else
+        ctx_terms, ds_ctx = _nce(np.stack([g.s[idx, idx], g.s[idx, n + idx]], axis=1),
+                                 np.zeros(n, dtype=np.intp), None, 1.0 / n)
+        ctx = float(np.sum(ctx_terms))
         if alpha in (0.0, 1.0):  # exact endpoints: the bare component, bit for bit
             vl = ctx if alpha else concon
         else:
             vl = (1.0 - alpha) * concon + alpha * ctx
-        ds_vl = (1.0 - alpha) * ds_concon + alpha * ds_ctx
+        ds_vl *= 1.0 - alpha
+        ds_vl[idx, idx] += alpha * ds_ctx[:, 0]
+        ds_vl[idx, n + idx] += alpha * ds_ctx[:, 1]
         parts = {"concon": concon, "contextnce": ctx, "spread_vl": vl}
     # the shared text->image term comes last, so its n x n gradient is not
     # held while the image->text term's larger temporaries are
-    lv, ds_lv = _infonce_square(g.s[:, :n].T, include_positive)
+    lv_terms, ds_lv = _nce(g.s[:, :n].T, idx, drop, 1.0 / n)
+    lv = float(np.sum(lv_terms))
     parts["lv"] = lv
 
     value = 0.5 * (vl + lv)
-    ds = 0.5 * ds_vl
-    ds[:, :n] += 0.5 * ds_lv.T
-    d_zv, d_texts, dls = g.backward(ds)
+    ds_vl *= 0.5
+    ds_vl[:, :n] += 0.5 * ds_lv.T
+    d_zv, d_texts, dls = g.backward(ds_vl)
     d_zln = np.zeros_like(zlp if zln is None else np.asarray(zln)) if objective == "con" else d_texts[n:]
     return value, d_zv, d_texts[:n], d_zln, dls, parts

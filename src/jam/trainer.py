@@ -103,18 +103,19 @@ class TrainHistory:
 class EarlyStopping:
     """Stop after ``patience`` consecutive validations without improvement.
 
-    Improvement means beating the best score by at least ``min_delta``.
+    Improvement means beating the best score by at least ``MIN_DELTA``.
     """
 
-    def __init__(self, patience: int, min_delta: float = 1e-6):
+    MIN_DELTA = 1e-6
+
+    def __init__(self, patience: int):
         self.patience = patience
-        self.min_delta = min_delta
         self.best = None
         self.streak = 0
 
     def update(self, score: float) -> tuple[bool, bool]:
         """Returns (improved, should_stop)."""
-        if self.best is None or score - self.best >= self.min_delta:
+        if self.best is None or score - self.best >= self.MIN_DELTA:
             self.best = score
             self.streak = 0
             return True, False
@@ -132,11 +133,9 @@ class TrainedJAM:
     are views into its vector.
     """
 
-    def __init__(self, vision_ae: Autoencoder, language_ae: Autoencoder,
-                 sim_cfg: SimilarityConfig, log_scale: float | None = None):
+    def __init__(self, vision_ae: Autoencoder, language_ae: Autoencoder, log_scale: float | None = None):
         self.vision_ae = vision_ae
         self.language_ae = language_ae
-        self.sim_cfg = sim_cfg
         arrays = {f"v.{name}": arr for name, arr in vision_ae.parameters().items()}
         arrays.update((f"l.{name}", arr) for name, arr in language_ae.parameters().items())
         if log_scale is not None:
@@ -256,7 +255,6 @@ def train(train_ds: PairedDataset, val_ds: PairedDataset, cfg: TrainConfig, seed
     model = TrainedJAM(
         Autoencoder(cfg.ae_cfg_vision, rng_init_v),
         Autoencoder(cfg.ae_cfg_language, rng_init_l),
-        cfg.sim_cfg,
         cfg.sim_cfg.logit_scale_init if learnable else None,
     )
     params = model.params
@@ -395,12 +393,12 @@ def sweep_alpha(train_ds, val_ds, cfg: TrainConfig, alphas, seed: int | None = N
     return SweepReport(entries=entries, best_alpha=best.alpha)
 
 
-def train_on_split(full_ds: PairedDataset, cfg: TrainConfig, seed: int, ratios=(0.70, 0.15, 0.15)):
-    """Split with the data seed, train, and evaluate on the held-out test rows.
+def train_on_split(full_ds: PairedDataset, cfg: TrainConfig, seed: int):
+    """Split 70/15/15 with the data seed, train, and evaluate on the test rows.
 
     Returns (model, history, test_result, (train_ds, val_ds, test_ds)).
     """
-    splits = split_dataset(full_ds, ratios=ratios, seed=seed)
+    splits = split_dataset(full_ds, seed=seed)
     train_ds, val_ds, test_ds = splits
     model, history = train(train_ds, val_ds, cfg, seed=seed)
     result = evaluate(model, test_ds, seed=seed)
@@ -432,7 +430,6 @@ def load_jam(path):
     model = TrainedJAM(
         Autoencoder(cfg.ae_cfg_vision, RngStream(0)),
         Autoencoder(cfg.ae_cfg_language, RngStream(0)),
-        cfg.sim_cfg,
         float(tensors["logit_scale"][0]) if "logit_scale" in tensors else None,
     )
     params = model.params

@@ -98,7 +98,7 @@ def _objective_closure(objective, alpha, include_positive=False):
     )
     model = TrainedJAM(
         Autoencoder(cfg.ae_cfg_vision, RngStream(1)), Autoencoder(cfg.ae_cfg_language, RngStream(2)),
-        SIM, SIM.logit_scale_init,
+        SIM.logit_scale_init,
     )
     lam = losses.lambda_schedule(3, 10, cfg.loss_cfg)
 

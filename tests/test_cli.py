@@ -159,6 +159,18 @@ class TestMetricsCommand:
         assert run_cli(args + ["--manifest", manifest]) == code
         assert str(folder) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where, code", [("manifest", 3), ("config", 2)])
+    def test_file_that_is_not_utf8(self, synth_dir, tmp_path, capsys, where, code):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        manifest = bad if where == "manifest" else synth_dir / "manifest.json"
+        args = ["metrics", "--out-dir", tmp_path / "m", "--manifest", manifest]
+        if where == "config":
+            args += ["--config", bad]
+        assert run_cli(args) == code
+        err = capsys.readouterr().err
+        assert str(bad) in err and "utf-8" in err
+
     @pytest.mark.parametrize("flag, value", [("--kernel", "rbff"), ("--knn-similarity", "cos")])
     def test_unknown_metric_option_exits_3(self, synth_dir, tmp_path, capsys, flag, value):
         out = tmp_path / "m"
@@ -265,7 +277,7 @@ class TestTrainEvalCommands:
         cfg = TrainConfig(ae_cfg_vision=AutoencoderConfig(16, [4], 3),
                           ae_cfg_language=AutoencoderConfig(20, [4], 3))
         model = TrainedJAM(Autoencoder(cfg.ae_cfg_vision, RngStream(1)),
-                           Autoencoder(cfg.ae_cfg_language, RngStream(2)), cfg.sim_cfg, 2.0)
+                           Autoencoder(cfg.ae_cfg_language, RngStream(2)), 2.0)
         save_jam(path, model, cfg, 5)
         raw = bytearray(path.read_bytes())
         if damage == "missing":
@@ -421,7 +433,7 @@ class TestSurface:
         )
         vision = Autoencoder(cfg.ae_cfg_vision, RngStream(0))
         language = Autoencoder(cfg.ae_cfg_language, RngStream(1))
-        save_jam(tmp_path / "m.jckp", TrainedJAM(vision, language, cfg.sim_cfg, 2.0), cfg, 7)
+        save_jam(tmp_path / "m.jckp", TrainedJAM(vision, language, 2.0), cfg, 7)
         ae = {"dropout": 0.1, "hidden_dims": [4], "latent_dim": 3, "layernorm_eps": 1e-05}
         assert load_checkpoint(tmp_path / "m.jckp")[1] == {
             "format_version": 1,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -264,6 +265,20 @@ class TestSpread:
                 alignment_grads(objective, zv, zlp, zln[:-1], 0.5, SIM)
 
 
+class TestTemporaries:
+    @pytest.mark.parametrize("objective", ["negcon", "spread"])
+    def test_peak_is_a_few_logit_blocks(self, objective):
+        n = 256
+        zv, zlp, zln = batch(3, n=n, d=16)
+        tracemalloc.start()
+        try:
+            alignment_grads(objective, zv, zlp, zln, 0.5, SIM, 2.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n * 2 * n * 8  # eight n x 2n float64 blocks
+
+
 class TestMse:
     def test_zero_at_equal(self):
         x = RngStream(17).gaussian(3, 4)
@@ -330,7 +345,7 @@ def step_problem(objective="spread", alpha=0.5, seed=19):
     )
     vision = Autoencoder(cfg.ae_cfg_vision, RngStream(seed))
     language = Autoencoder(cfg.ae_cfg_language, RngStream(seed + 1))
-    model = TrainedJAM(vision, language, cfg.sim_cfg, cfg.sim_cfg.logit_scale_init)
+    model = TrainedJAM(vision, language, cfg.sim_cfg.logit_scale_init)
     r = RngStream(seed + 2)
     return cfg, model, r.gaussian(6, 5), r.gaussian(6, 7), r.gaussian(6, 7)
 

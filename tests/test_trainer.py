@@ -58,7 +58,7 @@ class TestEarlyStopping:
         assert stops == [False, False, False, True]
 
     def test_tiny_improvement_not_counted(self):
-        stopper = EarlyStopping(patience=2, min_delta=1e-6)
+        stopper = EarlyStopping(patience=2)
         stopper.update(0.5)
         improved, _ = stopper.update(0.5 + 1e-9)
         assert not improved
@@ -142,7 +142,7 @@ class TestTrain:
         tr, _, _ = tiny_data
         cfg = tiny_cfg()
         language = Autoencoder(cfg.ae_cfg_language, RngStream(2))
-        model = TrainedJAM(Autoencoder(cfg.ae_cfg_vision, RngStream(1)), language, cfg.sim_cfg)
+        model = TrainedJAM(Autoencoder(cfg.ae_cfg_vision, RngStream(1)), language)
         language.parameters()["dec.out.b"][:] = 1e300  # reconstruction error overflows
 
         def no_backward(*args, **kwargs):
@@ -195,7 +195,7 @@ class TestFlatLayout:
         named = {f"v.{name}": arr.copy() for name, arr in vision.parameters().items()}
         named.update((f"l.{name}", arr.copy()) for name, arr in language.parameters().items())
         named["logit_scale"] = np.array([0.5])
-        model = TrainedJAM(vision, language, SimilarityConfig(), 0.5)
+        model = TrainedJAM(vision, language, 0.5)
         params = model.params
         assert list(params) == list(named) and list(params)[-1] == "logit_scale"
         assert model.log_scale == 0.5
@@ -216,7 +216,7 @@ class TestFlatLayout:
     def test_train_step_writes_every_gradient(self, tiny_data, objective, monkeypatch):
         tr, _, _ = tiny_data
         cfg = tiny_cfg(objective)
-        model = TrainedJAM(*self._pair(cfg), cfg.sim_cfg, cfg.sim_cfg.logit_scale_init)
+        model = TrainedJAM(*self._pair(cfg), cfg.sim_cfg.logit_scale_init)
         params = model.params
         like = FlatParams.like
 
