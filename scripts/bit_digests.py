@@ -1,21 +1,21 @@
 #!/usr/bin/env python3
 """Print one SHA-256 per alignment objective over `losses.alignment_grads`'
 outputs on a seeded batch, then what each benchmark workload trained: the
-checkpoint's SHA-256, the SHA-256 of the per-epoch history (sorted-key JSON),
-the stop reason and the held-out recalls after one set-up and one round at a
-seed.
+checkpoint's SHA-256, the SHA-256 of the per-epoch history and of the
+alignment report's scores and errors (each as sorted-key JSON), the stop
+reason and the held-out recalls after one set-up and one round at a seed.
 
     python3 scripts/bit_digests.py --seed 5
 
 Two checkouts that print the same lines compute the same loss bits and
-train, record and score the same bits on this numpy/OpenBLAS build. Each
-loss digest covers the value, every gradient and the parts at alpha 0,
+report, train, record and score the same bits on this numpy/OpenBLAS build.
+Each loss digest covers the value, every gradient and the parts at alpha 0,
 0.25, 0.75 and 1, with and without the positive in the denominator, at a
 fixed and at a learnable logit scale, on two seeded batches: 32 rows, and
 100 rows, whose 200-text pool is longer than numpy's 128-element pairwise
 summation block, so a reordered row sum shows. con runs with and without
-``zln``. The workloads and their sizes are ``perfbench/workloads.WORKLOADS``;
-their files go to a temporary directory.
+``zln``. The workloads and their sizes are
+``perfbench/workloads.WORKLOADS``; their files go to a temporary directory.
 """
 
 import argparse
@@ -56,6 +56,10 @@ def loss_digests(seed):
         print(f"loss {objective}: sha256={digest.hexdigest()}", flush=True)
 
 
+def json_sha256(value):
+    return hashlib.sha256(json.dumps(value, sort_keys=True).encode("utf-8")).hexdigest()
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, required=True)
@@ -65,9 +69,10 @@ def main():
         with tempfile.TemporaryDirectory() as workdir:
             pipeline = workload()
             record = pipeline.round(pipeline.setup(args.seed, workdir))
-        epochs = json.dumps(record["epochs"], sort_keys=True).encode("utf-8")
+        report = record["report"]
         print(f"{name}: checkpoint_sha256={record['checkpoint_sha256']} "
-              f"epochs_sha256={hashlib.sha256(epochs).hexdigest()} "
+              f"epochs_sha256={json_sha256(record['epochs'])} "
+              f"report_sha256={json_sha256({'scores': report.scores, 'errors': report.errors})} "
               f"stop_reason={record['stop_reason']} "
               f"recall_binary={record['recall_binary']!r} recall_5way={record['recall_5way']!r}",
               flush=True)

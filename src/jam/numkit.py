@@ -81,7 +81,9 @@ def sym_eig(s: Matrix, tol: float = 1e-10, top: int | None = None) -> tuple[np.n
     alone: ARPACK's Lanczos (``eigsh``) to machine precision when
     n >= 20 * top, from a seeded start vector so that reruns give the same
     bits; otherwise, or when ARPACK raises, LAPACK ``syevr`` (MRRR) over an
-    index range.
+    index range. Lanczos multiplies by one triangle of the matrix with
+    scipy's BLAS ``dsymv``, whose bits depend on the BLAS thread count as
+    well as the build.
     """
     m = as_matrix(s, "symmetric matrix")
     n = m.shape[0]
@@ -94,11 +96,18 @@ def sym_eig(s: Matrix, tol: float = 1e-10, top: int | None = None) -> tuple[np.n
     if 1 <= top <= n // _LANCZOS_ROWS_PER_PAIR:
         from scipy.sparse import linalg as sparse_linalg  # imported here: it adds 4 MB of RSS
 
+        # dsymv reads one triangle, half the memory of a dense product. It
+        # copies any array that is not F-contiguous, so lay m out once here:
+        # the transpose of a C-ordered m is m itself, F-ordered, at no cost.
+        mf = m.T if m.flags.c_contiguous else np.asfortranarray(m)
+        op = sparse_linalg.LinearOperator(
+            (n, n), matvec=lambda x: scipy.linalg.blas.dsymv(1.0, mf, x), dtype=np.float64
+        )
         # ncv = 2 top was fastest at top = 50; small tops need 20. The start
         # vector must not be all ones: that is in every centered kernel's null space.
         try:
             w, v = sparse_linalg.eigsh(
-                m, k=top, which="LA", ncv=min(n - 1, max(2 * top, 20)), v0=RngStream(0).normal(n)
+                op, k=top, which="LA", ncv=min(n - 1, max(2 * top, 20)), v0=RngStream(0).normal(n)
             )
         except sparse_linalg.ArpackError:
             pass

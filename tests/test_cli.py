@@ -179,6 +179,17 @@ class TestMetricsCommand:
         assert repr(value) in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--knn-k", "0"), ("--pca-r", "0"), ("--svcca-eta", "0"), ("--svcca-eta", "1.5"),
+        ("--svcca-k", "0"), ("--rbf-gamma", "-1"), ("--rbf-gamma", "0"),
+    ])
+    def test_out_of_range_metric_option_exits_3(self, synth_dir, tmp_path, capsys, flag, value):
+        out = tmp_path / "m"
+        args = ["metrics", "--manifest", synth_dir / "manifest.json", "--out-dir", out, flag, value]
+        assert run_cli(args) == 3
+        assert f"{flag[2:].replace('-', '_')} must be" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
 
 class TestTrainEvalCommands:
     def test_train_then_eval(self, synth_dir, tmp_path):

@@ -132,9 +132,7 @@ class TestSymEigLanczos:
     def kernel(self):
         return centered_rbf_kernel(self.N, 8, 23)
 
-    def test_matches_syevr(self, kernel, eigsh_calls):
-        w, v = sym_eig(kernel, top=self.TOP)
-        assert eigsh_calls == [self.TOP]
+    def assert_matches_syevr(self, kernel, w, v):
         w_ref, v_ref = syevr_top(kernel, self.TOP)
         assert w.shape == (self.TOP,) and v.shape == (self.N, self.TOP)
         assert np.all(np.diff(w) <= 0)
@@ -142,6 +140,26 @@ class TestSymEigLanczos:
         signs = np.sign(np.sum(v * v_ref, axis=0))
         np.testing.assert_allclose(v * signs, v_ref, rtol=0, atol=1e-9)
         assert np.abs(v.T @ v - np.eye(self.TOP)).max() <= 1e-12
+
+    def test_matches_syevr(self, kernel, eigsh_calls):
+        w, v = sym_eig(kernel, top=self.TOP)
+        assert eigsh_calls == [self.TOP]
+        self.assert_matches_syevr(kernel, w, v)
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_other_layouts_match_syevr_unmodified(self, kernel, eigsh_calls, layout):
+        # the product reads an F-ordered matrix: one given in another layout is copied once
+        if layout == "fortran":
+            m = np.asfortranarray(kernel)
+        else:
+            m = np.zeros((self.N, self.N + 1))[:, : self.N]
+            m[...] = kernel
+            assert not (m.flags.c_contiguous or m.flags.f_contiguous)
+        before = m.copy()
+        w, v = sym_eig(m, top=self.TOP)
+        assert eigsh_calls == [self.TOP]
+        np.testing.assert_array_equal(m, before)
+        self.assert_matches_syevr(kernel, w, v)
 
     def test_bit_identical_across_calls(self, kernel):
         w1, v1 = sym_eig(kernel, top=self.TOP)
