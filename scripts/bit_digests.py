@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Print one SHA-256 per alignment objective over `losses.alignment_grads`'
-outputs on a seeded batch, then what each benchmark workload trained: the
-checkpoint's SHA-256, the SHA-256 of the per-epoch history and of the
-alignment report's scores and errors (each as sorted-key JSON), the stop
-reason and the held-out recalls after one set-up and one round at a seed.
+outputs on a seeded batch, one per objective over one `trainer.train_step`,
+then what each benchmark workload trained: the checkpoint's SHA-256, the
+SHA-256 of the per-epoch history and of the alignment report's scores and
+errors (each as sorted-key JSON), the stop reason and the held-out recalls
+after one set-up and one round at a seed.
 
     python3 scripts/bit_digests.py --seed 5
 
@@ -14,7 +15,10 @@ Each loss digest covers the value, every gradient and the parts at alpha 0,
 fixed and at a learnable logit scale, on two seeded batches: 32 rows, and
 100 rows, whose 200-text pool is longer than numpy's 128-element pairwise
 summation block, so a reordered row sum shows. con runs with and without
-``zln``. The workloads and their sizes are
+``zln``. Each gradient digest covers the total, the parts and the whole
+gradient vector of one step of two small autoencoders (dropout on, a
+learnable logit scale) on a seeded 32-row batch, so a change to backward
+shows in seconds. The workloads and their sizes are
 ``perfbench/workloads.WORKLOADS``; their files go to a temporary directory.
 """
 
@@ -33,7 +37,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402
 import workloads  # noqa: E402
-from jam import losses  # noqa: E402
+from jam import losses, trainer  # noqa: E402
+from jam.nnet import Autoencoder, AutoencoderConfig  # noqa: E402
 from jam.numkit import RngStream  # noqa: E402
 
 
@@ -56,6 +61,25 @@ def loss_digests(seed):
         print(f"loss {objective}: sha256={digest.hexdigest()}", flush=True)
 
 
+def gradient_digests(seed):
+    r = RngStream(seed)
+    xv, xlp, xln = r.gaussian(32, 16), r.gaussian(32, 20), r.gaussian(32, 20)
+    for objective in losses.OBJECTIVES:
+        cfg = trainer.TrainConfig(
+            ae_cfg_vision=AutoencoderConfig(16, [12, 10], 8, dropout=0.1),
+            ae_cfg_language=AutoencoderConfig(20, [12, 10], 8, dropout=0.1),
+            loss_cfg=losses.LossConfig(objective=objective),
+            sim_cfg=losses.SimilarityConfig(logit_scale_mode="learnable"),
+        )
+        model = trainer.TrainedJAM(Autoencoder(cfg.ae_cfg_vision, RngStream(seed + 1)),
+                                   Autoencoder(cfg.ae_cfg_language, RngStream(seed + 2)),
+                                   cfg.sim_cfg.logit_scale_init)
+        total, grad, parts = trainer.train_step(model, xv, xlp, xln, 0.5, 0.5, cfg, RngStream(seed + 3))
+        digest = hashlib.sha256(repr((total, parts)).encode("utf-8"))
+        digest.update(grad.tobytes())
+        print(f"gradient {objective}: sha256={digest.hexdigest()}", flush=True)
+
+
 def json_sha256(value):
     return hashlib.sha256(json.dumps(value, sort_keys=True).encode("utf-8")).hexdigest()
 
@@ -65,6 +89,7 @@ def main():
     parser.add_argument("--seed", type=int, required=True)
     args = parser.parse_args()
     loss_digests(args.seed)
+    gradient_digests(args.seed)
     for name, workload in workloads.WORKLOADS.items():
         with tempfile.TemporaryDirectory() as workdir:
             pipeline = workload()

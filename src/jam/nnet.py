@@ -5,17 +5,17 @@ fixed topology: a funnel encoder (dense -> LayerNorm -> SwiGLU -> dropout ->
 residual MLP per stage, then a linear bottleneck) and a mirrored decoder that
 walks the hidden widths in reverse and ends in a linear projection back to
 the input width. A forward pass records a one-shot :class:`Tape`; backward
-consumes it and returns named parameter gradients plus the input gradient,
-written into caller-given arrays when it is handed them.
+consumes it, writes the parameter gradients into a caller-given vector and
+returns the input gradient.
 
 There is one parameter order: `Autoencoder.parameters` lists the layers last
 to first, each in its ``PARAMS`` order, which is the order backward writes
 their gradients in. Parameters can be packed in that order into one
 contiguous vector (:class:`FlatParams`) that the layers then hold views
-into, so a gradient of the same layout is written front to back. The
-optimizer is AdamW with decoupled weight decay over that vector, paired with
-a cosine learning-rate schedule and global-norm gradient clipping that sums
-squares tensor by tensor in vector order.
+into; a gradient has the same layout, and backward fills it front to back.
+The optimizer is AdamW with decoupled weight decay over that vector,
+paired with a cosine learning-rate schedule and global-norm gradient
+clipping that sums squares tensor by tensor in vector order.
 ``grad_check`` validates any loss closure against central finite
 differences.
 """
@@ -70,16 +70,13 @@ def _silu_grad(a, sig):
 
 class _Layer:
     """Trained arrays are the attributes in ``PARAMS``, named ``<layer>.<attr>``
-    and listed in the order `backward` writes each one's gradient, into
-    ``grads[name]`` if present."""
+    and listed in the order `backward` writes their gradients: each into the
+    array ``next(grads)``, of its shape."""
 
     PARAMS = ()
 
-    def param_names(self) -> list:
-        return [f"{self.name}.{attr}" for attr in self.PARAMS]
-
     def param_items(self):
-        return zip(self.param_names(), (getattr(self, attr) for attr in self.PARAMS))
+        return ((f"{self.name}.{attr}", getattr(self, attr)) for attr in self.PARAMS)
 
 
 class Dense(_Layer):
@@ -95,9 +92,8 @@ class Dense(_Layer):
 
     def backward(self, dy, cache, grads):
         x = cache
-        w, b = self.param_names()
-        grads[w] = np.matmul(x.T, dy, out=grads.get(w))
-        grads[b] = dy.sum(axis=0, out=grads.get(b))
+        np.matmul(x.T, dy, out=next(grads))
+        dy.sum(axis=0, out=next(grads))
         return dy @ self.w.T
 
 
@@ -120,9 +116,8 @@ class LayerNorm(_Layer):
 
     def backward(self, dy, cache, grads):
         xhat, s = cache
-        g, b = self.param_names()
-        grads[g] = (dy * xhat).sum(axis=0, out=grads.get(g))
-        grads[b] = dy.sum(axis=0, out=grads.get(b))
+        (dy * xhat).sum(axis=0, out=next(grads))
+        dy.sum(axis=0, out=next(grads))
         dxhat = dy * self.g
         m1 = dxhat.mean(axis=1, keepdims=True)
         m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
@@ -151,11 +146,10 @@ class SwiGLU(_Layer):
         x, a, u, h, sig = cache
         da = dy * u * _silu_grad(a, sig)
         du = dy * h
-        wg, bg, wv, bv = self.param_names()
-        grads[wg] = np.matmul(x.T, da, out=grads.get(wg))
-        grads[bg] = da.sum(axis=0, out=grads.get(bg))
-        grads[wv] = np.matmul(x.T, du, out=grads.get(wv))
-        grads[bv] = du.sum(axis=0, out=grads.get(bv))
+        np.matmul(x.T, da, out=next(grads))
+        da.sum(axis=0, out=next(grads))
+        np.matmul(x.T, du, out=next(grads))
+        du.sum(axis=0, out=next(grads))
         return da @ self.wg.T + du @ self.wv.T
 
 
@@ -203,12 +197,11 @@ class ResidualMLP(_Layer):
     def backward(self, dy, cache, grads):
         x, a, h, sig, mask = cache
         dm = self.drop.backward(dy, mask, grads)
-        w2, b2, w1, b1 = self.param_names()
-        grads[w2] = np.matmul(h.T, dm, out=grads.get(w2))
-        grads[b2] = dm.sum(axis=0, out=grads.get(b2))
+        np.matmul(h.T, dm, out=next(grads))
+        dm.sum(axis=0, out=next(grads))
         da = (dm @ self.w2.T) * _silu_grad(a, sig)
-        grads[w1] = np.matmul(x.T, da, out=grads.get(w1))
-        grads[b1] = da.sum(axis=0, out=grads.get(b1))
+        np.matmul(x.T, da, out=next(grads))
+        da.sum(axis=0, out=next(grads))
         return dy + da @ self.w1.T
 
 
@@ -296,22 +289,20 @@ class Autoencoder:
             dec_records.append((layer, cache))
         return z, h, Tape(enc_records, dec_records)
 
-    def backward(self, tape: Tape, d_z, d_xhat, out: dict | None = None):
-        """Exact reverse-mode gradients; returns (named grads, dX). The named
-        grads are ``out`` (or a new dict), set in `parameters` order: each
-        gradient is written into ``out[name]`` when ``out`` has that name (a
-        view of a flat gradient, say), else into a new array."""
+    def backward(self, tape: Tape, d_z, d_xhat, grad):
+        """Exact reverse-mode gradients: fills ``grad``, a float64 vector in
+        `parameters` layout, front to back and returns dX."""
         if tape.consumed:
             raise UsageError("tape already consumed")
         tape.consumed = True
-        grads = {} if out is None else out
+        grads = iter(FlatParams(self.parameters(), grad).values())
         d = np.asarray(d_xhat, dtype=np.float64)
         for layer, cache in reversed(tape.dec_records):
             d = layer.backward(d, cache, grads)
         d = d + np.asarray(d_z, dtype=np.float64)
         for layer, cache in reversed(tape.enc_records):
             d = layer.backward(d, cache, grads)
-        return grads, d
+        return d
 
     def encode(self, x: Matrix) -> Matrix:
         """Latent Z of x: the encoder layers in eval mode, with no decoder
@@ -378,40 +369,21 @@ class FlatParams(dict):
 
     Maps each name to its view of ``vector``, in the order the arrays were
     given, with their values copied in; a ``vector`` passed in is used as it
-    is, and then ``arrays`` only give the names and shapes. AdamW, clipping
-    and snapshots work on the vector; layers, checkpoints and `grad_check`
-    on the named views.
+    is, and then ``arrays`` only give the names and shapes (so
+    ``FlatParams(params, grad)`` names the parts of a gradient). AdamW,
+    clipping and snapshots work on the vector; layers, checkpoints and
+    `grad_check` on the named views.
     """
 
     def __init__(self, arrays: dict, vector: np.ndarray | None = None):
         shapes = [np.shape(a) for a in arrays.values()]
         self.offsets = np.cumsum([0] + [math.prod(shape) for shape in shapes])
         self.vector = np.empty(int(self.offsets[-1])) if vector is None else vector
-        self._sections = {}
-        for (name, arr), shape, start, stop in zip(arrays.items(), shapes, self.offsets,
-                                                   self.offsets[1:]):
+        bounds = self.offsets.tolist()  # Python ints slice faster than numpy ones
+        for (name, arr), shape, start, stop in zip(arrays.items(), shapes, bounds, bounds[1:]):
             self[name] = self.vector[start:stop].reshape(shape)
             if vector is None:
                 self[name][...] = arr
-
-    def like(self) -> FlatParams:
-        """The same names and shapes over a new, uninitialised vector (a
-        gradient that will be written in full)."""
-        return FlatParams(self, np.empty_like(self.vector))
-
-    def section(self, prefix: str) -> FlatParams:
-        """The arrays whose names start with ``prefix``, keyed without it: a
-        `FlatParams` over their part of ``vector``, so they must be adjacent.
-        Made on the first call for each prefix, then reused."""
-        if prefix not in self._sections:
-            index = [i for i, name in enumerate(self) if name.startswith(prefix)]
-            if index != list(range(index[0], index[-1] + 1)):
-                raise UsageError(f"arrays named {prefix!r}* are not adjacent")
-            names = list(self)[index[0] : index[-1] + 1]
-            vector = self.vector[self.offsets[index[0]] : self.offsets[index[-1] + 1]]
-            arrays = {name[len(prefix) :]: self[name] for name in names}
-            self._sections[prefix] = FlatParams(arrays, vector)
-        return self._sections[prefix]
 
     def name_at(self, index: int) -> str:
         """Name of the array that holds ``vector[index]``."""

@@ -13,9 +13,9 @@ the mean and largest pre-clip gradient norm and the share of clipped steps.
 Every trained parameter lives in one float64 vector, `TrainedJAM.params` (a
 `nnet.FlatParams`), that the model owns: both autoencoders' layers hold views
 into it, and the logit scale is its last element. Its layout is the order
-backward writes gradients in, so the gradient of a step is one vector of the
-same layout, filled front to back, and clipping, AdamW and the best/initial
-snapshots each work on one array.
+backward writes gradients in, so the gradient of a step is one plain vector
+of the same layout, filled front to back, and clipping, AdamW and the
+best/initial snapshots each work on one array.
 
 The language autoencoder reconstructs positive and hard-negative texts in
 every objective (hard negatives must be encodable at evaluation time);
@@ -130,7 +130,9 @@ class TrainedJAM:
     (vision) and ``l.*`` (language), each in `Autoencoder.parameters` order,
     then ``logit_scale`` as a one-element array when ``log_scale`` is given.
     The autoencoders are bound to it: from here on their layers' parameters
-    are views into its vector.
+    are views into its vector, the vision ones at ``vision_span`` and the
+    language ones at ``language_span``. A gradient vector has the same
+    layout; ``FlatParams(params, grad)`` names its parts.
     """
 
     def __init__(self, vision_ae: Autoencoder, language_ae: Autoencoder, log_scale: float | None = None):
@@ -143,6 +145,9 @@ class TrainedJAM:
         self.params = FlatParams(arrays)
         vision_ae.bind(self.params, "v.")
         language_ae.bind(self.params, "l.")
+        nv = sum(arr.size for arr in vision_ae.parameters().values())
+        nl = sum(arr.size for arr in language_ae.parameters().values())
+        self.vision_span, self.language_span = slice(0, nv), slice(nv, nv + nl)
 
     @property
     def log_scale(self) -> float | None:
@@ -177,19 +182,18 @@ def evaluate(model: TrainedJAM, ds: PairedDataset, seed: int) -> RetrievalResult
     )
 
 
-def train_step(model: TrainedJAM, xv, xlp, xln, lam, alpha, cfg: TrainConfig, rng,
-               grads: FlatParams | None = None):
+def train_step(model: TrainedJAM, xv, xlp, xln, lam, alpha, cfg: TrainConfig, rng, grad=None):
     """Objective and gradients of one joint step on one batch, at the
     model's current parameters.
 
     Forwards images, positive texts and hard-negative texts in train mode (in
     that order, drawing dropout from ``rng``), adds the lambda-weighted
     reconstruction of both autoencoders to the alignment objective and
-    backpropagates through both. Returns (total, grads, parts): ``grads`` is
-    the ``model.params.like()`` passed in, or a new one, now holding the
-    gradient, or None, with no backward run, when ``total`` is not finite;
-    ``parts`` is `losses.alignment_grads`' parts plus ``recon_v``,
-    ``recon_l``, ``align`` and ``total``.
+    backpropagates through both. Returns (total, grad, parts): ``grad`` is
+    the vector in ``model.params`` layout passed in, or a new one, now
+    holding the gradient, or None, with no backward run, when ``total`` is
+    not finite; ``parts`` is `losses.alignment_grads`' parts plus
+    ``recon_v``, ``recon_l``, ``align`` and ``total``.
     """
     vision, language = model.vision_ae, model.language_ae
     zv, xhat_v, tape_v = vision.forward(xv, "train", rng)
@@ -215,22 +219,22 @@ def train_step(model: TrainedJAM, xv, xlp, xln, lam, alpha, cfg: TrainConfig, rn
     # the first forward, it sits below them instead; at batch 1024 glibc then
     # returned ~350 MB after every step and the next forward faulted it back
     # in (~25 K minor faults a step).
-    if grads is None:
-        grads = model.params.like()
+    if grad is None:
+        grad = np.empty_like(model.params.vector)
     d_xhat_v = lam * 2.0 * (xhat_v - xv) / xv.size
     scale_l = lam * 2.0 / x_l.size
     d_xhat_lp = scale_l * (xhat_lp - xlp)
     d_xhat_ln = scale_l * (xhat_ln - xln)
 
-    vision.backward(tape_v, d_zv, d_xhat_v, grads.section("v."))
-    grads_l = grads.section("l.")
-    language.backward(tape_lp, d_zlp, d_xhat_lp, grads_l)
-    grads_ln = grads_l.like()
-    language.backward(tape_ln, d_zln, d_xhat_ln, grads_ln)
-    grads_l.vector += grads_ln.vector
-    if "logit_scale" in grads:
-        grads["logit_scale"][0] = d_ls
-    return total, grads, parts
+    vision.backward(tape_v, d_zv, d_xhat_v, grad[model.vision_span])
+    grad_l = grad[model.language_span]
+    language.backward(tape_lp, d_zlp, d_xhat_lp, grad_l)
+    grad_ln = np.empty_like(grad_l)
+    language.backward(tape_ln, d_zln, d_xhat_ln, grad_ln)
+    grad_l += grad_ln
+    if "logit_scale" in model.params:
+        grad[-1] = d_ls
+    return total, grad, parts
 
 
 def train(train_ds: PairedDataset, val_ds: PairedDataset, cfg: TrainConfig, seed: int | None = None):
@@ -272,7 +276,7 @@ def train(train_ds: PairedDataset, val_ds: PairedDataset, cfg: TrainConfig, seed
     n = train_ds.n
     stop_epoch = 0
     stop_reason = "completed"
-    grads = None  # the gradient vector, made by the first step
+    grad = None  # the gradient vector, made by the first step
 
     for epoch in range(cfg.epochs):
         lr = cosine_lr(epoch, horizon, cfg.lr0, cfg.lr_min)
@@ -287,16 +291,16 @@ def train(train_ds: PairedDataset, val_ds: PairedDataset, cfg: TrainConfig, seed
             idx = perm[start : start + cfg.batch_size]
             if len(idx) < 2:
                 continue  # a 1-row tail cannot form a contrastive denominator
-            total, grads, parts = train_step(
+            total, grad, parts = train_step(
                 model, train_ds.images[idx], train_ds.positives[idx], train_ds.negatives[idx],
-                lam, alpha, cfg, rng_dropout, grads,
+                lam, alpha, cfg, rng_dropout, grad,
             )
             if not math.isfinite(total):
                 aborted = True
                 break
 
-            norms.append(clip_grad_norm(grads.vector, 1.0, grads.offsets))
-            opt.step(grads.vector, lr=lr)
+            norms.append(clip_grad_norm(grad, 1.0, params.offsets))
+            opt.step(grad, lr=lr)
             if learnable:
                 np.clip(
                     params["logit_scale"], 0.0, cfg.sim_cfg.logit_scale_max,
@@ -421,8 +425,15 @@ def save_jam(path, model: TrainedJAM, cfg: TrainConfig, seed: int, extra_meta: d
 
 
 def load_jam(path):
-    """Rebuild a TrainedJAM from a checkpoint; returns (model, meta)."""
+    """Rebuild a TrainedJAM from a checkpoint; returns (model, meta).
+
+    The metadata must hold an integer ``seed`` and a ``train_config`` object.
+    The ``v.*`` and ``l.*`` tensors must be the model's, and ``logit_scale``
+    is required exactly when the config's scale is learnable."""
     tensors, meta = load_checkpoint(path)
+    if not (isinstance(meta, dict) and type(meta.get("seed")) is int
+            and isinstance(meta.get("train_config"), dict)):
+        raise InvalidInput(f"{path}: checkpoint metadata needs an integer seed and a train_config object")
     try:
         cfg = TrainConfig.from_dict(meta["train_config"])
     except (KeyError, TypeError) as exc:
@@ -430,11 +441,12 @@ def load_jam(path):
     model = TrainedJAM(
         Autoencoder(cfg.ae_cfg_vision, RngStream(0)),
         Autoencoder(cfg.ae_cfg_language, RngStream(0)),
-        float(tensors["logit_scale"][0]) if "logit_scale" in tensors else None,
+        0.0 if cfg.sim_cfg.logit_scale_mode == "learnable" else None,  # read in below
     )
     params = model.params
-    if {k for k in tensors if k.startswith(("v.", "l."))} != set(params) - {"logit_scale"}:
-        raise InvalidInput(f"{path}: checkpoint parameter names do not match the model")
+    if {k for k in tensors if k.startswith(("v.", "l.")) or k == "logit_scale"} != set(params):
+        raise InvalidInput(f"{path}: checkpoint parameter names do not match the model "
+                           f"with a {cfg.sim_cfg.logit_scale_mode} logit scale")
     for name, view in params.items():
         if tensors[name].shape != view.shape:
             raise InvalidInput(f"{path}: checkpoint shape mismatch for {name}")

@@ -27,6 +27,7 @@ from jam.nnet import (
     AutoencoderConfig,
     Dense,
     Dropout,
+    FlatParams,
     LayerNorm,
     ResidualMLP,
     SwiGLU,
@@ -59,13 +60,13 @@ def _fd_layer(layer, x, train=False):
 
     rng = RngStream(4242)
     y, cache = layer.forward(x, train, rng)
-    grads = {}
-    layer.backward(np.cos(y), cache, grads)
-    params = {name: arr for name, arr in layer.param_items()}
+    params = dict(layer.param_items())
+    grads = FlatParams(params)
+    layer.backward(np.cos(y), cache, iter(grads.values()))
     if not params:  # dropout has no parameters; check the input path instead
         rng = RngStream(4242)
         y, cache = layer.forward(x, train, rng)
-        dx = layer.backward(np.cos(y), cache, {})
+        dx = layer.backward(np.cos(y), cache, iter(()))
         worst = 0.0
         for i in range(x.size):
             old = x.flat[i]
@@ -105,8 +106,8 @@ def _objective_closure(objective, alpha, include_positive=False):
     def step():
         return train_step(model, x_v, x_lp, x_ln, lam, alpha, cfg, RngStream(777))
 
-    _, grads, _ = step()
-    return model.params, lambda: step()[0], grads
+    _, grad, _ = step()
+    return model.params, lambda: step()[0], FlatParams(model.params, grad)
 
 
 class TestCriterion1Gradients:

@@ -281,7 +281,9 @@ class TestTrainEvalCommands:
         assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize(
-        "damage", ["missing", "corrupt_json", "document_past_end", "truncated_tensor", "no_train_config"]
+        "damage",
+        ["missing", "corrupt_json", "document_past_end", "truncated_tensor", "no_train_config",
+         "no_seed", "text_seed", "text_train_config"],
     )
     def test_bad_checkpoint_exits_3(self, synth_dir, tmp_path, capsys, damage):
         path = tmp_path / "m.jckp"
@@ -293,8 +295,14 @@ class TestTrainEvalCommands:
         raw = bytearray(path.read_bytes())
         if damage == "missing":
             path.unlink()
-        elif damage == "no_train_config":
-            save_checkpoint(path, load_checkpoint(path)[0], {"seed": 5})
+        elif damage.startswith(("no_", "text_")):  # metadata without a key, or with a string for it
+            tensors, meta = load_checkpoint(path)
+            kind, key = damage.split("_", 1)
+            if kind == "no":
+                del meta[key]
+            else:
+                meta[key] = "x"
+            save_checkpoint(path, tensors, meta)
         else:
             if damage == "corrupt_json":
                 raw[16] = ord("!")  # the document's opening brace, after the 16-byte header

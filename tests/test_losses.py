@@ -376,9 +376,9 @@ class TestTotalObjective:
     def test_all_objectives_run(self):
         for objective in ("con", "negcon", "spread"):
             cfg, model, xv, xlp, xln = step_problem(objective, seed=23)
-            total, grads, _ = train_step(model, xv, xlp, xln, 1.0, 0.5, cfg, RngStream(0))
+            total, grad, _ = train_step(model, xv, xlp, xln, 1.0, 0.5, cfg, RngStream(0))
             assert math.isfinite(total)
-            assert list(grads)[-1] == "logit_scale"
+            assert grad.shape == model.params.vector.shape and list(model.params)[-1] == "logit_scale"
 
 
 class TestGradients:

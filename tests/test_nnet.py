@@ -28,6 +28,11 @@ from jam.nnet import (
 from jam.numkit import RngStream
 
 
+def nan_gradient(ae):
+    """A NaN-filled vector in ``ae.parameters()`` layout."""
+    return np.full(sum(arr.size for arr in ae.parameters().values()), np.nan)
+
+
 def layer_fd_check(layer, x, extra_params=(), train=False, mask_rng_seed=77, h=1e-6):
     """Central-difference check of one layer's input and parameter grads."""
 
@@ -38,8 +43,8 @@ def layer_fd_check(layer, x, extra_params=(), train=False, mask_rng_seed=77, h=1
 
     rng = RngStream(mask_rng_seed)
     y, cache = layer.forward(x, train, rng)
-    grads = {}
-    dx = layer.backward(np.cos(y), cache, grads)
+    grads = FlatParams(dict(layer.param_items()))
+    dx = layer.backward(np.cos(y), cache, iter(grads.values()))
 
     worst = 0.0
     for i in range(x.size):
@@ -221,45 +226,41 @@ class TestAutoencoder:
     def test_tape_reuse_rejected(self):
         ae = Autoencoder(AutoencoderConfig(5, [4], 3, dropout=0.0), RngStream(1))
         z, xhat, tape = ae.forward(RngStream(2).gaussian(3, 5))
-        ae.backward(tape, np.zeros_like(z), np.zeros_like(xhat))
+        ae.backward(tape, np.zeros_like(z), np.zeros_like(xhat), nan_gradient(ae))
         with pytest.raises(UsageError):
-            ae.backward(tape, np.zeros_like(z), np.zeros_like(xhat))
+            ae.backward(tape, np.zeros_like(z), np.zeros_like(xhat), nan_gradient(ae))
 
-    def test_backward_writes_in_parameter_order(self):
-        cfg = AutoencoderConfig(7, [6, 5], 4, dropout=0.1)
-        ae = Autoencoder(cfg, RngStream(3))
+    def test_backward_fills_the_whole_gradient(self):
+        ae = Autoencoder(AutoencoderConfig(7, [6, 5], 4, dropout=0.1), RngStream(3))
         x = RngStream(4).gaussian(5, 7)
+        z, xhat, tape = ae.forward(x, "train", RngStream(99))
+        grad = nan_gradient(ae)
+        ae.backward(tape, z, xhat - x, grad)
+        assert np.isfinite(grad).all()
 
-        class Recording(dict):
-            """Records the names backward sets, in order."""
+    def test_every_gradient_coordinate_matches_fd(self):
+        # all coordinates, so a gradient written into the wrong tensor of the
+        # same shape (ResidualMLP's w1 and w2, say) fails too
+        ae = Autoencoder(AutoencoderConfig(4, [3], 2, dropout=0.2), RngStream(8))
+        x = RngStream(9).gaussian(5, 4)
 
-            def __init__(self, *args):
-                super().__init__(*args)
-                self.order = []
+        def loss_only():
+            _, xhat, _ = ae.forward(x, "train", RngStream(99))
+            return losses.mse_recon(x, xhat)
 
-            def __setitem__(self, name, value):
-                self.order.append(name)
-                super().__setitem__(name, value)
-
-        def backward(out):
-            z, xhat, tape = ae.forward(x, "train", RngStream(99))
-            grads = ae.backward(tape, z, xhat - x, out)[0]
-            assert grads is out
-            return grads
-
-        fresh = backward(Recording())
-        assert fresh.order == list(fresh) == list(ae.parameters())
-        flat = FlatParams(ae.parameters()).like()
-        written = backward(Recording(flat))  # the flat gradient's views
-        assert written.order == list(ae.parameters())
-        for name, g in fresh.items():
-            assert written[name] is flat[name] and g.tobytes() == flat[name].tobytes()
+        _, xhat, tape = ae.forward(x, "train", RngStream(99))
+        grad = nan_gradient(ae)
+        ae.backward(tape, np.zeros((5, 2)), 2 * (xhat - x) / x.size, grad)
+        named = FlatParams(ae.parameters(), grad)
+        err = grad_check(ae.parameters(), loss_only, named, h=1e-5, num_samples=grad.size, rng=RngStream(0))
+        assert err <= 1e-4
 
     def test_zero_upstream_zero_grads(self):
         ae = Autoencoder(AutoencoderConfig(5, [4], 3, dropout=0.0), RngStream(1))
         z, xhat, tape = ae.forward(RngStream(2).gaussian(3, 5))
-        grads, dx = ae.backward(tape, np.zeros_like(z), np.zeros_like(xhat))
-        assert all(np.all(g == 0) for g in grads.values())
+        grad = nan_gradient(ae)
+        dx = ae.backward(tape, np.zeros_like(z), np.zeros_like(xhat), grad)
+        assert np.all(grad == 0)
         assert np.all(dx == 0)
 
     def test_full_model_gradients(self):
@@ -273,7 +274,9 @@ class TestAutoencoder:
             return losses.mse_recon(x, xhat) + losses.mse_recon(target, z)
 
         z, xhat, tape = ae.forward(x, "train", RngStream(99))
-        grads, _ = ae.backward(tape, 2 * (z - target) / z.size, 2 * (xhat - x) / x.size)
+        grad = nan_gradient(ae)
+        ae.backward(tape, 2 * (z - target) / z.size, 2 * (xhat - x) / x.size, grad)
+        grads = FlatParams(ae.parameters(), grad)
         err = grad_check(ae.parameters(), loss_only, grads, h=1e-5, num_samples=250, rng=RngStream(0))
         assert err <= 1e-4
 
@@ -287,8 +290,10 @@ class TestAutoencoder:
             return losses.mse_recon(x, xhat)
 
         _, xhat, tape = ae.forward(x, "eval")
-        grads, _ = ae.backward(tape, np.zeros((4, 3)), 2 * (xhat - x) / x.size)
-        grads["enc.latent.w"] = grads["enc.latent.w"] + 0.05  # sabotage
+        grad = nan_gradient(ae)
+        ae.backward(tape, np.zeros((4, 3)), 2 * (xhat - x) / x.size, grad)
+        grads = FlatParams(ae.parameters(), grad)
+        grads["enc.latent.w"] += 0.05  # sabotage
         err = grad_check(ae.parameters(), loss_only, grads, num_samples=400, rng=RngStream(1))
         assert err > 1e-2
 
@@ -415,22 +420,16 @@ class TestFlatParams:
         params = FlatParams(arrays)
         assert list(params) == list(arrays)
         np.testing.assert_array_equal(params.vector, np.concatenate([a.ravel() for a in arrays.values()]))
-        grads = params.like()
-        assert list(grads) == list(params) and not np.shares_memory(grads.vector, params.vector)
+        grad = np.zeros_like(params.vector)
+        grads = FlatParams(params, grad)  # names the parts of a given vector
+        assert list(grads) == list(params) and grads.vector is grad
         for name, view in params.items():
             assert view.shape == arrays[name].shape == grads[name].shape
             assert np.shares_memory(view, params.vector) and not np.shares_memory(view, arrays[name])
+            assert np.shares_memory(grads[name], grad) and not grads[name].any()
         params["y"][0] = -1.0
         assert params.vector[6] == -1.0
         assert [params.name_at(i) for i in range(params.vector.size)] == ["x"] * 6 + ["y"] + ["z"] * 4
-        nested = FlatParams({"v.a": [1.0], "v.b": [2.0, 2.5], "l.a": [3.0]})
-        v, lang = nested.section("v."), nested.section("l.")
-        assert list(v) == ["a", "b"] and list(lang) == ["a"] and nested.section("v.") is v
-        assert v.vector.base is nested.vector and v.vector.tolist() == [1.0, 2.0, 2.5]
-        lang["a"][0] = -3.0
-        assert nested["l.a"][0] == -3.0 and lang.vector.tolist() == [-3.0]
-        with pytest.raises(UsageError, match="not adjacent"):
-            FlatParams({"v.a": [1.0], "l.a": [2.0], "v.b": [3.0]}).section("v.")
 
 
 class TestSchedules:

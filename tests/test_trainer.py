@@ -8,7 +8,7 @@ import pytest
 from jam.embed_io import SynthConfig, split_dataset, synth_generate
 from jam.errors import InvalidInput, NonFiniteLoss
 from jam.losses import LossConfig, SimilarityConfig
-from jam.nnet import Autoencoder, AutoencoderConfig, FlatParams, load_checkpoint, save_checkpoint
+from jam.nnet import Autoencoder, AutoencoderConfig, load_checkpoint, save_checkpoint
 from jam.numkit import RngStream
 from jam.trainer import (
     EarlyStopping,
@@ -213,25 +213,16 @@ class TestFlatLayout:
         assert model.log_scale == 1.5
 
     @pytest.mark.parametrize("objective", ["con", "negcon", "spread"])
-    def test_train_step_writes_every_gradient(self, tiny_data, objective, monkeypatch):
+    def test_train_step_writes_every_gradient(self, tiny_data, objective):
         tr, _, _ = tiny_data
         cfg = tiny_cfg(objective)
         model = TrainedJAM(*self._pair(cfg), cfg.sim_cfg.logit_scale_init)
-        params = model.params
-        like = FlatParams.like
-
-        def nan_like(self):
-            out = like(self)
-            out.vector[:] = np.nan
-            return out
-
-        monkeypatch.setattr(FlatParams, "like", nan_like)
-        total, grads, _ = train_step(
-            model, tr.images[:8], tr.positives[:8], tr.negatives[:8], 1.0, 0.5, cfg, RngStream(3),
+        grad = np.full_like(model.params.vector, np.nan)
+        total, out, _ = train_step(
+            model, tr.images[:8], tr.positives[:8], tr.negatives[:8], 1.0, 0.5, cfg, RngStream(3), grad,
         )
-        assert math.isfinite(total) and list(grads) == list(params)
-        # the new gradient vector started as NaN: every element was written
-        assert grads.vector.size == params.vector.size and np.isfinite(grads.vector).all()
+        # the gradient vector started as NaN: every element was written
+        assert math.isfinite(total) and out is grad and np.isfinite(grad).all()
 
 
 class TestValidateAndEvaluate:
@@ -348,6 +339,21 @@ class TestCheckpointRoundTrip:
         save_checkpoint(tmp_path / "shape.jckp", tensors, meta)
         with pytest.raises(InvalidInput, match="shape mismatch for l.dec.out.b"):
             load_jam(tmp_path / "shape.jckp")
+
+    @pytest.mark.parametrize("mode", ["learnable", "fixed"])
+    def test_logit_scale_tensor_required_exactly_when_learnable(self, tmp_path, mode):
+        cfg = tiny_cfg(sim_cfg=SimilarityConfig(logit_scale_mode=mode))
+        pair = Autoencoder(cfg.ae_cfg_vision, RngStream(1)), Autoencoder(cfg.ae_cfg_language, RngStream(2))
+        save_jam(tmp_path / "model.jckp", TrainedJAM(*pair, 2.0 if mode == "learnable" else None), cfg, 5)
+        tensors, meta = load_checkpoint(tmp_path / "model.jckp")
+        assert ("logit_scale" in tensors) == (mode == "learnable")
+        if mode == "learnable":
+            del tensors["logit_scale"]
+        else:
+            tensors["logit_scale"] = np.array([2.0])
+        save_checkpoint(tmp_path / "damaged.jckp", tensors, meta)
+        with pytest.raises(InvalidInput, match=f"names do not match the model with a {mode} logit scale"):
+            load_jam(tmp_path / "damaged.jckp")
 
     def test_checkpoint_bytes_deterministic(self, tiny_data, tmp_path):
         tr, va, _ = tiny_data
