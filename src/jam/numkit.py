@@ -17,12 +17,18 @@ from .errors import InvalidInput
 Matrix = np.ndarray
 
 
+# Entries `as_matrix` tests for finiteness at once, so its boolean
+# temporary is 64 KB at most, not the size of an n x n kernel.
+_FINITE_BLOCK = 1 << 16
+
+
 def as_matrix(a, name: str = "matrix") -> Matrix:
     """Validate and convert to a finite 2-D float64 array."""
     m = np.asarray(a, dtype=np.float64)
     if m.ndim != 2:
         raise InvalidInput(f"{name} must be 2-D, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    rows = max(1, _FINITE_BLOCK // max(1, m.shape[1]))
+    if not all(np.isfinite(m[i : i + rows]).all() for i in range(0, m.shape[0], rows)):
         raise InvalidInput(f"{name} contains non-finite values")
     return m
 

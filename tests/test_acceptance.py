@@ -21,7 +21,7 @@ from jam import evalkit, losses
 from jam.embed_io import SynthConfig, read_embeddings, split_dataset, synth_generate, write_embeddings
 from jam.evalkit import recall_5way, recall_binary
 from jam.losses import LossConfig, SimilarityConfig
-from jam.metrics import cca, cka, cknna, gram, hsic, svcca
+from jam.metrics import cca, cka, cknna, gram, svcca
 from jam.nnet import (
     Autoencoder,
     AutoencoderConfig,
@@ -39,6 +39,8 @@ from jam.nnet import (
 from jam.numkit import RngStream
 from jam.presets import BENCHMARK_SEEDS, benchmark_synth, benchmark_train_config, metric_screen_synth
 from jam.trainer import EarlyStopping, TrainConfig, TrainedJAM, train, train_on_split, train_step
+
+from metric_refs import hsic
 
 SIM = SimilarityConfig()
 

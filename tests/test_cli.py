@@ -191,6 +191,15 @@ class TestMetricsCommand:
         assert not (out / "report.json").exists()
 
 
+def save_small_checkpoint(path):
+    """A learnable-scale 16/20 -> [4] -> 3 model, saved at seed 5 with the default config."""
+    cfg = TrainConfig(ae_cfg_vision=AutoencoderConfig(16, [4], 3),
+                      ae_cfg_language=AutoencoderConfig(20, [4], 3))
+    model = TrainedJAM(Autoencoder(cfg.ae_cfg_vision, RngStream(1)),
+                       Autoencoder(cfg.ae_cfg_language, RngStream(2)), 2.0)
+    save_jam(path, model, cfg, 5)
+
+
 class TestTrainEvalCommands:
     def test_train_then_eval(self, synth_dir, tmp_path):
         out = tmp_path / "train"
@@ -287,11 +296,7 @@ class TestTrainEvalCommands:
     )
     def test_bad_checkpoint_exits_3(self, synth_dir, tmp_path, capsys, damage):
         path = tmp_path / "m.jckp"
-        cfg = TrainConfig(ae_cfg_vision=AutoencoderConfig(16, [4], 3),
-                          ae_cfg_language=AutoencoderConfig(20, [4], 3))
-        model = TrainedJAM(Autoencoder(cfg.ae_cfg_vision, RngStream(1)),
-                           Autoencoder(cfg.ae_cfg_language, RngStream(2)), 2.0)
-        save_jam(path, model, cfg, 5)
+        save_small_checkpoint(path)
         raw = bytearray(path.read_bytes())
         if damage == "missing":
             path.unlink()
@@ -315,6 +320,17 @@ class TestTrainEvalCommands:
                 "--out-dir", tmp_path / "eval"]
         assert run_cli(args) == 3
         assert str(path) in capsys.readouterr().err
+
+    def test_checkpoint_without_objective_evals_the_default(self, synth_dir, tmp_path):
+        path = tmp_path / "m.jckp"
+        save_small_checkpoint(path)
+        tensors, meta = load_checkpoint(path)
+        meta["train_config"]["loss_cfg"] = {}  # load_jam fills LossConfig's defaults
+        save_checkpoint(path, tensors, meta)
+        args = ["eval", "--checkpoint", path, "--manifest", synth_dir / "manifest.json",
+                "--out-dir", tmp_path / "eval"]
+        assert run_cli(args) == 0
+        assert json.loads((tmp_path / "eval" / "result.json").read_text())["objective"] == "spread"
 
     def test_missing_manifest_exits_3(self, tmp_path):
         code = run_cli(["train", "--manifest", tmp_path / "no.json", "--out-dir", tmp_path / "o",

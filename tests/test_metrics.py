@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,12 +16,12 @@ from jam.metrics import (
     cka,
     cknna,
     gram,
-    hsic,
     kpca_reduce,
-    pca_reduce,
     svcca,
 )
 from jam.numkit import RngStream, sym_eig
+
+from metric_refs import hsic, pca_reduce
 
 
 def hsic_double_sum(k, l):
@@ -56,7 +58,68 @@ class TestGram:
             gram(np.eye(3), "rbf", gamma=-1.0)
 
 
+def direct_sqdist(x):
+    """The squared distances as one expression over whole n x n arrays."""
+    sq = np.sum(x * x, axis=1)
+    d = np.add.outer(sq, sq)
+    g = x @ x.T
+    g *= 2.0
+    d -= g
+    return np.maximum(d, 0.0, out=d)
+
+
+def kernel_inputs(n):
+    """Gaussian rows; rows repeated three times, so equal distances tie at
+    the median; coordinates in {0, 1, 2}, so a handful of distances each
+    cover many ranks; constant rows."""
+    r = RngStream(n)
+    return {
+        "gaussian": r.gaussian(n, 6),
+        "repeated": np.repeat(r.gaussian(-(-n // 3), 4), 3, axis=0)[:n],
+        "three_levels": r.integers(3, (n, 2)).astype(float),
+        "constant": np.ones((n, 3)),
+    }
+
+
+class TestKernelBits:
+    """The RBF kernel is built in one n x n buffer with the bits of the
+    direct formulas."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 500, 1999, 2000])
+    def test_sqdist_and_median_gamma_match_direct_formulas(self, n):
+        for name, x in kernel_inputs(n).items():
+            sq = metrics._pairwise_sqdist(x)
+            np.testing.assert_array_equal(sq, direct_sqdist(x), err_msg=name)
+            off = sq[~np.eye(n, dtype=bool)]
+            med = float(np.median(off)) if off.size else 0.0
+            expected = 1.0 / (2.0 * med) if med > 0.0 else 1.0
+            assert metrics._median_gamma(sq) == expected, name
+            if name == "constant":
+                assert expected == 1.0
+
+    def test_median_bracket_that_misses_is_widened(self, monkeypatch):
+        # a bracket of 1e-12 in rank around the sample's middle misses the
+        # population's middle ranks, so the search must widen it
+        monkeypatch.setattr(metrics, "_MEDIAN_MARGIN", 1e-12)
+        for name, x in kernel_inputs(500).items():
+            sq = metrics._pairwise_sqdist(x)
+            med = float(np.median(sq[~np.eye(500, dtype=bool)]))
+            assert metrics._median_gamma(sq) == (1.0 / (2.0 * med) if med > 0.0 else 1.0), name
+
+
 class TestCenterGram:
+    def test_in_place_matches_copy_bitwise(self):
+        k = gram(RngStream(10).gaussian(300, 5), "rbf")
+        before = k.copy()
+        expected = k - k.mean(axis=1, keepdims=True)
+        expected -= k.mean(axis=0, keepdims=True)
+        expected += k.mean()
+        copied = center_gram(k)
+        np.testing.assert_array_equal(k, before)
+        np.testing.assert_array_equal(copied, expected)
+        assert center_gram(k, out=k) is k
+        np.testing.assert_array_equal(k, expected)
+
     def test_ones_to_zero(self):
         k = np.ones((4, 4))
         np.testing.assert_allclose(center_gram(k), np.zeros((4, 4)), atol=1e-12)
@@ -236,6 +299,18 @@ class TestCknna:
             mask = mutual_knn_mask(tv, tv, k)
             np.testing.assert_array_equal(mask.sum(axis=1), np.full(10, k))
 
+    @pytest.mark.parametrize("similarity", ["inner", "cosine"])
+    def test_block_ranking_matches_full_similarity(self, similarity):
+        # rounded coordinates tie exactly; 600 rows span three row blocks
+        for x in (np.round(RngStream(3).gaussian(10, 3)), np.round(RngStream(4).gaussian(600, 3))):
+            f = metrics._similarity_features(x, similarity)
+            sim = f @ f.T
+            np.fill_diagonal(sim, -np.inf)
+            order = np.argsort(-sim, axis=1, kind="stable")
+            for k in (1, 3, 9):
+                expected = np.sort(order[:, :k], axis=1)
+                np.testing.assert_array_equal(metrics._View(x).knn(k, similarity), expected)
+
     def test_k_out_of_range(self):
         v = RngStream(4).gaussian(5, 2)
         for bad in (0, 5):
@@ -261,6 +336,36 @@ class TestCknna:
         r = RngStream(8)
         v, l = r.gaussian(9, 3), r.gaussian(9, 5)
         assert abs(cknna(v, l, 4) - cknna(l, v, 4)) < 1e-12
+
+
+def traced_peak(fn):
+    """Peak bytes allocated while fn() runs, numpy buffers included."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPeakMemory:
+    """An RBF kernel lives in one n x n buffer, and the kNN pass in row blocks
+    (bounds in units of n^2 float64; two whole n x n arrays read 2.0)."""
+
+    n = 1000
+
+    @pytest.mark.parametrize(
+        "name, bound",
+        [("gram_rbf", 1.75), ("kpca_reduce", 1.75), ("knn", 1.0)],
+    )
+    def test_peak_in_kernel_units(self, name, bound):
+        x = RngStream(3).gaussian(self.n, 24)
+        run = {
+            "gram_rbf": lambda: gram(x, "rbf"),
+            "kpca_reduce": lambda: kpca_reduce(x, 40),
+            "knn": lambda: metrics._View(x).knn(10, "inner"),
+        }[name]
+        assert traced_peak(run) / (self.n * self.n * 8) <= bound
 
 
 class TestPca:

@@ -5,7 +5,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jam.errors import InvalidInput
-from jam.numkit import RngStream, center_columns, check_symmetric, svd, sym_eig
+from jam.numkit import RngStream, as_matrix, center_columns, check_symmetric, svd, sym_eig
+
+
+class TestAsMatrix:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_any_nonfinite_entry_rejected(self, bad):
+        for at in ((0, 0), (2, 1), (3, 3)):
+            m = np.ones((4, 4))
+            m[at] = bad
+            with pytest.raises(InvalidInput):
+                as_matrix(m)
+
+    def test_extreme_finite_values_accepted(self):
+        big = np.finfo(np.float64).max
+        for m in (np.full((3, 3), big), np.full((3, 3), -big), np.array([[big, -big]]), np.empty((0, 3))):
+            assert as_matrix(m) is m
 
 
 class TestSvd:
