@@ -142,10 +142,14 @@ def read_manifest(manifest_path) -> dict:
     for key in ("images", "positives", "negatives"):
         if key not in doc:
             raise ManifestError(f"manifest missing required key {key!r}")
+    if "n" in doc and (isinstance(doc["n"], bool) or not isinstance(doc["n"], int)):
+        raise ManifestError(f"manifest 'n' must be an integer, got {doc['n']!r}")
     base = mpath.parent
     out = dict(doc)
     for key in ("images", "positives", "negatives", "easy", "latents"):
         if key in out:
+            if not isinstance(out[key], str):
+                raise ManifestError(f"manifest {key!r} must be a path string, got {out[key]!r}")
             p = Path(out[key])
             out[key] = p if p.is_absolute() else base / p
     return out
@@ -163,7 +167,7 @@ def load_paired_dataset(manifest_path) -> PairedDataset:
     rows = {key: m.shape[0] for key, m in mats.items()}
     if len(set(rows.values())) != 1:
         raise ManifestError(f"row counts differ across files: {rows}")
-    if "n" in doc and int(doc["n"]) != mats["images"].shape[0]:
+    if "n" in doc and doc["n"] != mats["images"].shape[0]:
         raise ManifestError(
             f"manifest n={doc['n']} but files have {mats['images'].shape[0]} rows"
         )

@@ -8,16 +8,17 @@ the input width. A forward pass records a one-shot :class:`Tape`; backward
 consumes it, writes the parameter gradients into a caller-given vector and
 returns the input gradient.
 
-There is one parameter order: `Autoencoder.parameters` lists the layers last
-to first, each in its ``PARAMS`` order, which is the order backward writes
-their gradients in. Parameters can be packed in that order into one
-contiguous vector (:class:`FlatParams`) that the layers then hold views
-into; a gradient has the same layout, and backward fills it front to back.
-The optimizer is AdamW with decoupled weight decay over that vector,
-paired with a cosine learning-rate schedule and global-norm gradient
-clipping that sums squares tensor by tensor in vector order.
-``grad_check`` validates any loss closure against central finite
-differences.
+There is one parameter order, one walk over each autoencoder's
+``(layer, attribute)`` slots: the layers last to first, each in its
+``PARAMS`` order, which is the order backward writes their gradients in.
+`Autoencoder.parameters` names the arrays in that order, `Autoencoder.bind`
+hands the layers views in it, and backward slices its gradient vector in
+it by position. Parameters can be packed in that order into one contiguous
+vector (:class:`FlatParams`) that the layers then hold views into; a
+gradient has the same layout, and backward fills it front to back. The
+optimizer is AdamW with decoupled weight decay over that vector, paired
+with a cosine learning-rate schedule and global-norm gradient clipping that
+sums squares tensor by tensor in vector order.
 """
 
 from __future__ import annotations
@@ -69,14 +70,11 @@ def _silu_grad(a, sig):
 
 
 class _Layer:
-    """Trained arrays are the attributes in ``PARAMS``, named ``<layer>.<attr>``
-    and listed in the order `backward` writes their gradients: each into the
-    array ``next(grads)``, of its shape."""
+    """Trained arrays are the attributes in ``PARAMS``, listed in the order
+    `backward` writes their gradients: each into the array ``next(grads)``,
+    of its shape."""
 
     PARAMS = ()
-
-    def param_items(self):
-        return ((f"{self.name}.{attr}", getattr(self, attr)) for attr in self.PARAMS)
 
 
 class Dense(_Layer):
@@ -258,19 +256,21 @@ class Autoencoder:
             self.dec_layers.extend(_make_stage(f"dec{i}", d, width, cfg, rng))
             d = width
         self.dec_layers.append(Dense("dec.out", d, cfg.input_dim, rng))
+        # the one parameter order: layers last to first, each in its PARAMS order
+        layers = reversed(self.enc_layers + self.dec_layers)
+        self._slots = [(layer, attr) for layer in layers for attr in layer.PARAMS]
 
     def parameters(self) -> dict:
-        """Every trained array by name, in the order `backward` writes their
-        gradients: layers last to first, each in its ``PARAMS`` order."""
-        layers = reversed(self.enc_layers + self.dec_layers)
-        return {name: arr for layer in layers for name, arr in layer.param_items()}
+        """Every trained array, named ``<layer>.<attr>``, in the order
+        `backward` writes their gradients: layers last to first, each in its
+        ``PARAMS`` order."""
+        return {f"{layer.name}.{attr}": getattr(layer, attr) for layer, attr in self._slots}
 
-    def bind(self, flat: FlatParams, prefix: str = "") -> None:
-        """Make each layer parameter the view ``flat[prefix + name]``, which
-        must already hold its value."""
-        for layer in self.enc_layers + self.dec_layers:
-            for attr in layer.PARAMS:
-                setattr(layer, attr, flat[f"{prefix}{layer.name}.{attr}"])
+    def bind(self, views) -> None:
+        """Make each layer parameter, in `parameters` order, the next array
+        of the iterator ``views``, which must already hold its value."""
+        for layer, attr in self._slots:
+            setattr(layer, attr, next(views))
 
     def forward(self, x: Matrix, mode: str = "eval", rng: RngStream | None = None):
         """Returns (latent Z, reconstruction Xhat, tape)."""
@@ -295,7 +295,7 @@ class Autoencoder:
         if tape.consumed:
             raise UsageError("tape already consumed")
         tape.consumed = True
-        grads = iter(FlatParams(self.parameters(), grad).values())
+        grads = self._views(grad)
         d = np.asarray(d_xhat, dtype=np.float64)
         for layer, cache in reversed(tape.dec_records):
             d = layer.backward(d, cache, grads)
@@ -303,6 +303,16 @@ class Autoencoder:
         for layer, cache in reversed(tape.enc_records):
             d = layer.backward(d, cache, grads)
         return d
+
+    def _views(self, vector):
+        """Consecutive views of ``vector``, shaped like the parameters, in
+        `parameters` order."""
+        start = 0
+        for layer, attr in self._slots:
+            arr = getattr(layer, attr)
+            stop = start + arr.size
+            yield vector[start:stop].reshape(arr.shape)
+            start = stop
 
     def encode(self, x: Matrix) -> Matrix:
         """Latent Z of x: the encoder layers in eval mode, with no decoder
@@ -368,22 +378,18 @@ class FlatParams(dict):
     """Named float64 arrays that are views into one contiguous vector.
 
     Maps each name to its view of ``vector``, in the order the arrays were
-    given, with their values copied in; a ``vector`` passed in is used as it
-    is, and then ``arrays`` only give the names and shapes (so
-    ``FlatParams(params, grad)`` names the parts of a gradient). AdamW,
-    clipping and snapshots work on the vector; layers, checkpoints and
-    `grad_check` on the named views.
+    given, with their values copied in. AdamW, clipping and snapshots work
+    on the vector; layers and checkpoints on the named views.
     """
 
-    def __init__(self, arrays: dict, vector: np.ndarray | None = None):
+    def __init__(self, arrays: dict):
         shapes = [np.shape(a) for a in arrays.values()]
         self.offsets = np.cumsum([0] + [math.prod(shape) for shape in shapes])
-        self.vector = np.empty(int(self.offsets[-1])) if vector is None else vector
+        self.vector = np.empty(int(self.offsets[-1]))
         bounds = self.offsets.tolist()  # Python ints slice faster than numpy ones
         for (name, arr), shape, start, stop in zip(arrays.items(), shapes, bounds, bounds[1:]):
-            self[name] = self.vector[start:stop].reshape(shape)
-            if vector is None:
-                self[name][...] = arr
+            view = self[name] = self.vector[start:stop].reshape(shape)
+            view[...] = arr
 
     def name_at(self, index: int) -> str:
         """Name of the array that holds ``vector[index]``."""
@@ -468,43 +474,6 @@ class AdamW:
             t += self.eps
             u /= t
             p[a:b] -= u
-
-
-def grad_check(
-    params: dict,
-    loss_fn,
-    grads: dict,
-    h: float = 1e-5,
-    num_samples: int = 200,
-    rng: RngStream | None = None,
-) -> float:
-    """Max relative error between analytic grads and central differences.
-
-    ``loss_fn()`` must be a deterministic function of ``params``. Samples
-    ``num_samples`` coordinates across all parameters (all of them if fewer).
-    Relative error is |analytic - fd| / max(1e-8, |analytic| + |fd|).
-    """
-    rng = rng or RngStream(0)
-    flat = []
-    for name, p in params.items():
-        flat.extend((name, i) for i in range(p.size))
-    if len(flat) > num_samples:
-        picks = rng.choice(len(flat), num_samples, replace=False)
-        flat = [flat[i] for i in picks]
-    worst = 0.0
-    for name, i in flat:
-        p = params[name]
-        old = p.flat[i]
-        p.flat[i] = old + h
-        up = loss_fn()
-        p.flat[i] = old - h
-        down = loss_fn()
-        p.flat[i] = old
-        fd = (up - down) / (2.0 * h)
-        an = float(np.asarray(grads[name]).flat[i])
-        rel = abs(an - fd) / max(1e-8, abs(an) + abs(fd))
-        worst = max(worst, rel)
-    return worst
 
 
 CHECKPOINT_MAGIC = b"JCKP"

@@ -11,11 +11,12 @@ returns the parameters of the best recorded validation. Epoch records give
 the mean and largest pre-clip gradient norm and the share of clipped steps.
 
 Every trained parameter lives in one float64 vector, `TrainedJAM.params` (a
-`nnet.FlatParams`), that the model owns: both autoencoders' layers hold views
-into it, and the logit scale is its last element. Its layout is the order
-backward writes gradients in, so the gradient of a step is one plain vector
-of the same layout, filled front to back, and clipping, AdamW and the
-best/initial snapshots each work on one array.
+`nnet.FlatParams`), that the model owns: both autoencoders' layers hold its
+views, bound by position in `Autoencoder.parameters` order, and the logit
+scale is its last element. Its layout is the order backward writes gradients
+in, so the gradient of a step is one plain vector of the same layout, filled
+front to back by position, and clipping, AdamW and the best/initial
+snapshots each work on one array.
 
 The language autoencoder reconstructs positive and hard-negative texts in
 every objective (hard negatives must be encodable at evaluation time);
@@ -130,24 +131,26 @@ class TrainedJAM:
     (vision) and ``l.*`` (language), each in `Autoencoder.parameters` order,
     then ``logit_scale`` as a one-element array when ``log_scale`` is given.
     The autoencoders are bound to it: from here on their layers' parameters
-    are views into its vector, the vision ones at ``vision_span`` and the
-    language ones at ``language_span``. A gradient vector has the same
-    layout; ``FlatParams(params, grad)`` names its parts.
+    are the very views in ``params``, the vision ones at ``vision_span`` of
+    its vector and the language ones at ``language_span``. A gradient vector
+    has the same layout.
     """
 
     def __init__(self, vision_ae: Autoencoder, language_ae: Autoencoder, log_scale: float | None = None):
         self.vision_ae = vision_ae
         self.language_ae = language_ae
-        arrays = {f"v.{name}": arr for name, arr in vision_ae.parameters().items()}
-        arrays.update((f"l.{name}", arr) for name, arr in language_ae.parameters().items())
+        vision, language = vision_ae.parameters(), language_ae.parameters()
+        arrays = {f"v.{name}": arr for name, arr in vision.items()}
+        arrays.update((f"l.{name}", arr) for name, arr in language.items())
         if log_scale is not None:
             arrays["logit_scale"] = np.array([log_scale])
         self.params = FlatParams(arrays)
-        vision_ae.bind(self.params, "v.")
-        language_ae.bind(self.params, "l.")
-        nv = sum(arr.size for arr in vision_ae.parameters().values())
-        nl = sum(arr.size for arr in language_ae.parameters().values())
-        self.vision_span, self.language_span = slice(0, nv), slice(nv, nv + nl)
+        views = iter(self.params.values())
+        vision_ae.bind(views)
+        language_ae.bind(views)
+        bounds = self.params.offsets.tolist()
+        v_end, l_end = bounds[len(vision)], bounds[len(vision) + len(language)]
+        self.vision_span, self.language_span = slice(0, v_end), slice(v_end, l_end)
 
     @property
     def log_scale(self) -> float | None:

@@ -5,14 +5,14 @@
 """
 
 from jam.errors import InvalidInput
-from jam.metrics import _check_symmetric, _hsic_centered, _View, center_gram
-from jam.numkit import as_matrix
+from jam.metrics import _hsic_centered, _View, center_gram
+from jam.numkit import as_matrix, check_symmetric
 
 
 def hsic(k, l):
     """tr(Kc Lc) / (n-1)^2 over the centered kernels."""
-    kk = _check_symmetric(k)
-    ll = _check_symmetric(l)
+    kk = check_symmetric(k, "kernel", 1e-10)
+    ll = check_symmetric(l, "kernel", 1e-10)
     if kk.shape != ll.shape:
         raise InvalidInput(f"kernel sizes differ: {kk.shape} vs {ll.shape}")
     if kk.shape[0] < 2:

@@ -34,12 +34,12 @@ from jam.nnet import (
     clip_grad_norm,
     cosine_lr,
     global_grad_norm,
-    grad_check,
 )
 from jam.numkit import RngStream
 from jam.presets import BENCHMARK_SEEDS, benchmark_synth, benchmark_train_config, metric_screen_synth
 from jam.trainer import EarlyStopping, TrainConfig, TrainedJAM, train, train_on_split, train_step
 
+from grad_refs import grad_check, layer_params, named_views
 from metric_refs import hsic
 
 SIM = SimilarityConfig()
@@ -62,7 +62,7 @@ def _fd_layer(layer, x, train=False):
 
     rng = RngStream(4242)
     y, cache = layer.forward(x, train, rng)
-    params = dict(layer.param_items())
+    params = layer_params(layer)
     grads = FlatParams(params)
     layer.backward(np.cos(y), cache, iter(grads.values()))
     if not params:  # dropout has no parameters; check the input path instead
@@ -109,7 +109,7 @@ def _objective_closure(objective, alpha, include_positive=False):
         return train_step(model, x_v, x_lp, x_ln, lam, alpha, cfg, RngStream(777))
 
     _, grad, _ = step()
-    return model.params, lambda: step()[0], FlatParams(model.params, grad)
+    return model.params, lambda: step()[0], named_views(model.params, grad)
 
 
 class TestCriterion1Gradients:

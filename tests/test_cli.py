@@ -142,6 +142,20 @@ class TestMetricsCommand:
         missing = tmp_path / "nope.json"
         assert run_cli(["metrics", "--manifest", missing, "--out-dir", tmp_path / "m"]) == 3
 
+    # the set has 120 rows, so int(120.7) would match it
+    @pytest.mark.parametrize("key, value", [("n", "abc"), ("n", None), ("n", 120.7), ("images", 5)])
+    def test_malformed_manifest_value_exits_3(self, synth_dir, tmp_path, capsys, key, value):
+        manifest = json.loads((synth_dir / "manifest.json").read_text())
+        for name in ("images", "positives", "negatives", "easy", "latents"):
+            manifest[name] = str(synth_dir / manifest[name])
+        manifest[key] = value
+        mpath = tmp_path / "manifest.json"
+        mpath.write_text(json.dumps(manifest))
+        out = tmp_path / "m"
+        assert run_cli(["metrics", "--manifest", mpath, "--out-dir", out]) == 3
+        assert repr(value) in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     @pytest.mark.parametrize("where, code", [("manifest", 3), ("embeddings", 3), ("config", 2)])
     def test_directory_in_place_of_a_file(self, synth_dir, tmp_path, capsys, where, code):
         folder = tmp_path / "folder"

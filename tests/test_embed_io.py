@@ -110,6 +110,29 @@ class TestManifest:
         with pytest.raises(ManifestError):
             load_paired_dataset(mpath)
 
+    @pytest.mark.parametrize("key, value", [
+        ("n", "abc"), ("n", None), ("n", 50.7), ("n", 100.0), ("n", True), ("n", [100]),
+        ("images", 5), ("positives", None), ("negatives", ["negatives.jemb"]), ("easy", {}), ("latents", 1.5),
+    ])
+    def test_malformed_values_rejected(self, tmp_path, key, value):
+        mpath = self._write_triplet(tmp_path)
+        doc = json.loads(mpath.read_text())
+        doc[key] = value
+        mpath.write_text(json.dumps(doc))
+        with pytest.raises(ManifestError, match=repr(key)):
+            load_paired_dataset(mpath)
+
+    def test_integer_n_matching_the_rows_loads(self, tmp_path):
+        mpath = self._write_triplet(tmp_path)
+        doc = json.loads(mpath.read_text())
+        doc["n"] = 100
+        mpath.write_text(json.dumps(doc))
+        assert load_paired_dataset(mpath).n == 100
+        doc["n"] = 99
+        mpath.write_text(json.dumps(doc))
+        with pytest.raises(ManifestError, match="n=99"):
+            load_paired_dataset(mpath)
+
     def test_wide_dims_load(self, tmp_path):
         # image/text widths matching common frozen-backbone sizes
         write_embeddings(tmp_path / "images.jemb", RngStream(1).gaussian(20, 768))

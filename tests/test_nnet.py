@@ -21,11 +21,12 @@ from jam.nnet import (
     clip_grad_norm,
     cosine_lr,
     global_grad_norm,
-    grad_check,
     load_checkpoint,
     save_checkpoint,
 )
 from jam.numkit import RngStream
+
+from grad_refs import grad_check, layer_params, named_views
 
 
 def nan_gradient(ae):
@@ -43,7 +44,7 @@ def layer_fd_check(layer, x, extra_params=(), train=False, mask_rng_seed=77, h=1
 
     rng = RngStream(mask_rng_seed)
     y, cache = layer.forward(x, train, rng)
-    grads = FlatParams(dict(layer.param_items()))
+    grads = FlatParams(layer_params(layer))
     dx = layer.backward(np.cos(y), cache, iter(grads.values()))
 
     worst = 0.0
@@ -56,7 +57,7 @@ def layer_fd_check(layer, x, extra_params=(), train=False, mask_rng_seed=77, h=1
         x.flat[i] = old
         fd = (up - down) / (2 * h)
         worst = max(worst, abs(dx.flat[i] - fd) / max(1e-8, abs(dx.flat[i]) + abs(fd)))
-    for name, arr in layer.param_items():
+    for name, arr in layer_params(layer).items():
         g = grads[name]
         for i in range(arr.size):
             old = arr.flat[i]
@@ -251,9 +252,19 @@ class TestAutoencoder:
         _, xhat, tape = ae.forward(x, "train", RngStream(99))
         grad = nan_gradient(ae)
         ae.backward(tape, np.zeros((5, 2)), 2 * (xhat - x) / x.size, grad)
-        named = FlatParams(ae.parameters(), grad)
+        named = named_views(ae.parameters(), grad)
         err = grad_check(ae.parameters(), loss_only, named, h=1e-5, num_samples=grad.size, rng=RngStream(0))
         assert err <= 1e-4
+
+    def test_backward_into_a_slice_writes_exactly_that_slice(self):
+        ae = Autoencoder(AutoencoderConfig(5, [4, 3], 2, dropout=0.1), RngStream(2))
+        x = RngStream(3).gaussian(6, 5)
+        z, xhat, tape = ae.forward(x, "train", RngStream(4))
+        size = sum(arr.size for arr in ae.parameters().values())
+        outer = np.full(size + 7, np.nan)
+        ae.backward(tape, z, xhat - x, outer[3 : 3 + size])
+        assert np.isfinite(outer[3 : 3 + size]).all()
+        assert np.isnan(outer[:3]).all() and np.isnan(outer[3 + size :]).all()
 
     def test_zero_upstream_zero_grads(self):
         ae = Autoencoder(AutoencoderConfig(5, [4], 3, dropout=0.0), RngStream(1))
@@ -276,7 +287,7 @@ class TestAutoencoder:
         z, xhat, tape = ae.forward(x, "train", RngStream(99))
         grad = nan_gradient(ae)
         ae.backward(tape, 2 * (z - target) / z.size, 2 * (xhat - x) / x.size, grad)
-        grads = FlatParams(ae.parameters(), grad)
+        grads = named_views(ae.parameters(), grad)
         err = grad_check(ae.parameters(), loss_only, grads, h=1e-5, num_samples=250, rng=RngStream(0))
         assert err <= 1e-4
 
@@ -292,7 +303,7 @@ class TestAutoencoder:
         _, xhat, tape = ae.forward(x, "eval")
         grad = nan_gradient(ae)
         ae.backward(tape, np.zeros((4, 3)), 2 * (xhat - x) / x.size, grad)
-        grads = FlatParams(ae.parameters(), grad)
+        grads = named_views(ae.parameters(), grad)
         grads["enc.latent.w"] += 0.05  # sabotage
         err = grad_check(ae.parameters(), loss_only, grads, num_samples=400, rng=RngStream(1))
         assert err > 1e-2
@@ -421,8 +432,8 @@ class TestFlatParams:
         assert list(params) == list(arrays)
         np.testing.assert_array_equal(params.vector, np.concatenate([a.ravel() for a in arrays.values()]))
         grad = np.zeros_like(params.vector)
-        grads = FlatParams(params, grad)  # names the parts of a given vector
-        assert list(grads) == list(params) and grads.vector is grad
+        grads = named_views(params, grad)  # names the parts of a given vector
+        assert list(grads) == list(params) and all(view.base is grad for view in grads.values())
         for name, view in params.items():
             assert view.shape == arrays[name].shape == grads[name].shape
             assert np.shares_memory(view, params.vector) and not np.shares_memory(view, arrays[name])

@@ -212,6 +212,24 @@ class TestFlatLayout:
         params["logit_scale"][0] = 1.5
         assert model.log_scale == 1.5
 
+    @pytest.mark.parametrize("log_scale", [0.5, None])
+    def test_spans_tile_the_vector(self, log_scale):
+        vision, language = self._pair(tiny_cfg())
+        model = TrainedJAM(vision, language, log_scale)
+        params, size = model.params, model.params.vector.size
+        v, l = model.vision_span, model.language_span
+        # vision, then language, then the scale when it is learnable
+        assert v.start == 0 and v.stop == l.start and l.stop == size - (log_scale is not None)
+        assert v.stop == sum(arr.size for arr in vision.parameters().values())
+        assert l.stop - l.start == sum(arr.size for arr in language.parameters().values())
+        for ae, prefix, span in ((vision, "v.", v), (language, "l.", l)):
+            for name, arr in ae.parameters().items():
+                view = params[prefix + name]
+                assert arr is view  # the layer holds the very view in params
+                start = (view.__array_interface__["data"][0] - params.vector.ctypes.data) // 8
+                assert span.start <= start and start + view.size <= span.stop
+        assert ("logit_scale" in params) == (log_scale is not None)
+
     @pytest.mark.parametrize("objective", ["con", "negcon", "spread"])
     def test_train_step_writes_every_gradient(self, tiny_data, objective):
         tr, _, _ = tiny_data
