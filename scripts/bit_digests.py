@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Print one SHA-256 per alignment objective over `losses.alignment_grads`'
 outputs on a seeded batch, one per objective over one `trainer.train_step`,
-then what each benchmark workload trained: the checkpoint's SHA-256, the
-SHA-256 of the per-epoch history and of the alignment report's scores and
+then what each benchmark workload trained: the SHA-256 of the trained
+parameter vector's bytes, of the checkpoint file (parameters plus config
+metadata), of the per-epoch history and of the alignment report's scores and
 errors (each as sorted-key JSON), the stop reason and the held-out recalls
 after one set-up and one round at a seed.
 
@@ -10,6 +11,8 @@ after one set-up and one round at a seed.
 
 Two checkouts that print the same lines compute the same loss bits and
 report, train, record and score the same bits on this numpy/OpenBLAS build.
+Equal ``params_sha256`` with a different ``checkpoint_sha256`` means only the
+checkpoint's metadata differs.
 Each loss digest covers the value, every gradient and the parts at alpha 0,
 0.25, 0.75 and 1, with and without the positive in the denominator, at a
 fixed and at a learnable logit scale, on two seeded batches: 32 rows, and
@@ -25,6 +28,7 @@ shows in seconds. The workloads and their sizes are
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -73,7 +77,7 @@ def gradient_digests(seed):
         )
         model = trainer.TrainedJAM(Autoencoder(cfg.ae_cfg_vision, RngStream(seed + 1)),
                                    Autoencoder(cfg.ae_cfg_language, RngStream(seed + 2)),
-                                   cfg.sim_cfg.logit_scale_init)
+                                   math.log(1.0 / cfg.sim_cfg.tau))
         total, grad, parts = trainer.train_step(model, xv, xlp, xln, 0.5, 0.5, cfg, RngStream(seed + 3))
         digest = hashlib.sha256(repr((total, parts)).encode("utf-8"))
         digest.update(grad.tobytes())
@@ -93,9 +97,11 @@ def main():
     for name, workload in workloads.WORKLOADS.items():
         with tempfile.TemporaryDirectory() as workdir:
             pipeline = workload()
-            record = pipeline.round(pipeline.setup(args.seed, workdir))
+            state = pipeline.setup(args.seed, workdir)
+            record = pipeline.round(state)
         report = record["report"]
-        print(f"{name}: checkpoint_sha256={record['checkpoint_sha256']} "
+        params_sha256 = hashlib.sha256(state["model"].params.vector.tobytes()).hexdigest()
+        print(f"{name}: params_sha256={params_sha256} checkpoint_sha256={record['checkpoint_sha256']} "
               f"epochs_sha256={json_sha256(record['epochs'])} "
               f"report_sha256={json_sha256({'scores': report.scores, 'errors': report.errors})} "
               f"stop_reason={record['stop_reason']} "

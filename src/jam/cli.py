@@ -9,9 +9,10 @@ kernel changes the bits.
 
 The keys, their types and their defaults come from the fields of the config
 dataclasses (`embed_io.SynthConfig`, `metrics.MetricConfig`, and
-`trainer.TrainConfig` with the configs it nests), less a short hidden list
-per command; ``_COMMAND_KEYS`` adds the few keys that are not config fields
-(paths, the dtype, the eval split, seeds and the sweep's alphas).
+`trainer.TrainConfig` with the configs it nests), less the input widths,
+which come from the data, and sweep-alpha's ``seeds``; ``_COMMAND_KEYS`` adds
+the few keys that are not config fields (paths, the dtype, the eval split,
+seeds and the sweep's alphas).
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numerical abort.
 """
@@ -115,9 +116,8 @@ def _field_keys(cls, hidden=()) -> dict:
     return keys
 
 
-# set per job, not by the user: input widths come from the data, and the
-# alpha schedule, logit-scale bounds and LayerNorm epsilon keep their defaults
-_TRAIN_HIDDEN = ("input_dim", "layernorm_eps", "alpha_schedule", "logit_scale_init", "logit_scale_max")
+# set per job, not by the user: input widths come from the data
+_TRAIN_HIDDEN = ("input_dim",)
 
 _COMMAND_KEYS = {
     "synth": {
@@ -129,7 +129,7 @@ _COMMAND_KEYS = {
         "manifest": _Key(_STR, None, required=True),
         "out_dir": _Key(_STR, "metrics_out"),
         "easy": _Key(_STR, None),
-        **_field_keys(metrics.MetricConfig, hidden=("cca_ridge",)),
+        **_field_keys(metrics.MetricConfig),
     },
     "train": {
         "manifest": _Key(_STR, None, required=True),
@@ -253,7 +253,7 @@ def cmd_metrics(config: dict) -> int:
     out_dir = Path(config["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = embed_io.read_manifest(config["manifest"])
-    ds = embed_io.load_paired_dataset(config["manifest"])
+    ds = embed_io.load_paired_dataset(manifest)
     easy = None
     easy_path = config["easy"] if config["easy"] is not None else manifest.get("easy")
     if easy_path is not None and Path(easy_path).exists():

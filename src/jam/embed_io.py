@@ -91,7 +91,6 @@ class PairedDataset:
     images: Matrix
     positives: Matrix
     negatives: Matrix
-    ids: np.ndarray
 
     def __post_init__(self):
         n = self.images.shape[0]
@@ -99,8 +98,6 @@ class PairedDataset:
             raise InvalidInput("images/positives/negatives row counts differ")
         if self.positives.shape[1] != self.negatives.shape[1]:
             raise InvalidInput("positive and negative text dims differ")
-        if len(self.ids) != n:
-            raise InvalidInput("ids length does not match row count")
 
     @property
     def n(self) -> int:
@@ -112,17 +109,13 @@ class PairedDataset:
             images=self.images[idx],
             positives=self.positives[idx],
             negatives=self.negatives[idx],
-            ids=self.ids[idx],
         )
 
 
-def make_paired_dataset(images, positives, negatives, ids=None) -> PairedDataset:
-    images = as_matrix(images, "images")
-    positives = as_matrix(positives, "positives")
-    negatives = as_matrix(negatives, "negatives")
-    if ids is None:
-        ids = np.arange(images.shape[0], dtype=np.int64)
-    return PairedDataset(images, positives, negatives, np.asarray(ids))
+def make_paired_dataset(images, positives, negatives) -> PairedDataset:
+    return PairedDataset(
+        as_matrix(images, "images"), as_matrix(positives, "positives"), as_matrix(negatives, "negatives")
+    )
 
 
 def read_manifest(manifest_path) -> dict:
@@ -155,9 +148,10 @@ def read_manifest(manifest_path) -> dict:
     return out
 
 
-def load_paired_dataset(manifest_path) -> PairedDataset:
-    """Load the three embedding files referenced by a manifest."""
-    doc = read_manifest(manifest_path)
+def load_paired_dataset(manifest) -> PairedDataset:
+    """Load the three embedding files referenced by a manifest, given as its
+    path or as the document `read_manifest` returned."""
+    doc = manifest if isinstance(manifest, dict) else read_manifest(manifest)
     mats = {}
     for key in ("images", "positives", "negatives"):
         try:
@@ -174,11 +168,9 @@ def load_paired_dataset(manifest_path) -> PairedDataset:
     return make_paired_dataset(mats["images"], mats["positives"], mats["negatives"])
 
 
-def split_sizes(n: int, ratios=(0.70, 0.15, 0.15)) -> tuple[int, int, int]:
-    """Floor each ratio*n, then hand leftover rows to test, then val, then train."""
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise InvalidInput(f"ratios must sum to 1, got {sum(ratios)}")
-    floors = [int(np.floor(r * n)) for r in ratios]
+def split_sizes(n: int) -> tuple[int, int, int]:
+    """Floor 70/15/15 of n, then hand leftover rows to test, then val, then train."""
+    floors = [int(np.floor(r * n)) for r in (0.70, 0.15, 0.15)]
     leftover = n - sum(floors)
     priority = (2, 1, 0)  # test, then val, then train
     for i in range(leftover):
@@ -186,12 +178,12 @@ def split_sizes(n: int, ratios=(0.70, 0.15, 0.15)) -> tuple[int, int, int]:
     return tuple(floors)
 
 
-def split_dataset(ds: PairedDataset, ratios=(0.70, 0.15, 0.15), seed: int = 0):
-    """Seeded disjoint train/val/test partition covering every row."""
+def split_dataset(ds: PairedDataset, seed: int = 0):
+    """Seeded disjoint 70/15/15 train/val/test partition covering every row."""
     n = ds.n
     if n < 10:
         raise InvalidInput(f"need at least 10 rows to split, got {n}")
-    n_train, n_val, n_test = split_sizes(n, ratios)
+    n_train, n_val, n_test = split_sizes(n)
     perm = RngStream(seed).permutation(n)
     idx_train = perm[:n_train]
     idx_val = perm[n_train : n_train + n_val]

@@ -23,7 +23,7 @@ class ManifestError(JamError):
 
 
 class ConfigError(JamError):
-    """Run configuration is malformed (unknown keys, bad schedule spec)."""
+    """Run configuration is malformed (unknown keys, values of the wrong type)."""
 
 
 class UsageError(JamError):

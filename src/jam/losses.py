@@ -35,24 +35,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateInput, InvalidInput
+from .errors import DegenerateInput, InvalidInput
 from .numkit import Matrix, as_matrix
 
 OBJECTIVES = ("con", "negcon", "spread")
 
 
+# A learnable log scale is clamped to [0, LOG_SCALE_MAX] after each step, as
+# in CLIP (Radford et al., 2021): the scale stays at or under 100.
+LOG_SCALE_MAX = math.log(100.0)
+
+
 @dataclass
 class SimilarityConfig:
-    """Temperature / logit-scale settings for cosine similarities."""
+    """Temperature / logit-scale settings for cosine similarities.
+
+    A fixed scale is 1/tau; a learnable one starts at log(1/tau) and is
+    trained as a log."""
 
     tau: float = 0.07
     logit_scale_mode: str = "learnable"  # "fixed" | "learnable"
-    logit_scale_init: float = math.log(1.0 / 0.07)
-    logit_scale_max: float = math.log(100.0)
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise InvalidInput("tau must be > 0")
+        if not 0 < self.tau < math.inf:  # a learnable scale starts at log(1/tau)
+            raise InvalidInput(f"tau must be finite and > 0, got {self.tau!r}")
         if self.logit_scale_mode not in ("fixed", "learnable"):
             raise InvalidInput(f"bad logit_scale_mode {self.logit_scale_mode!r}")
 
@@ -60,17 +66,16 @@ class SimilarityConfig:
         """Effective similarity multiplier for the current parameters."""
         if self.logit_scale_mode == "fixed":
             return 1.0 / self.tau
-        ls = self.logit_scale_init if log_scale is None else float(log_scale)
+        ls = math.log(1.0 / self.tau) if log_scale is None else float(log_scale)
         return math.exp(ls)
 
 
 @dataclass
 class LossConfig:
-    """Objective selection plus the alpha / lambda schedules."""
+    """Objective selection, spread's alpha and the lambda schedule."""
 
     objective: str = "spread"
     alpha: float = 0.5
-    alpha_schedule: object = None  # None (fixed at alpha) | ("linear", start, end)
     lambda_start: float = 1.0
     lambda_end: float = 0.1
     include_positive_in_denominator: bool = False
@@ -80,10 +85,6 @@ class LossConfig:
             raise InvalidInput(f"objective must be one of {OBJECTIVES}")
         if not 0.0 <= self.alpha <= 1.0:
             raise InvalidInput("alpha must be in [0, 1]")
-        # a linear schedule lies between its endpoints, so checking them
-        # bounds every epoch's alpha; a malformed spec raises ConfigError
-        if not all(0.0 <= alpha_at(self, frac, 1.0) <= 1.0 for frac in (0.0, 1.0)):
-            raise InvalidInput("alpha schedule must stay in [0, 1]")
         if not self.lambda_start >= self.lambda_end >= 0.0:
             raise InvalidInput("need lambda_start >= lambda_end >= 0")
 
@@ -159,25 +160,6 @@ def lambda_schedule(epoch: float, total_epochs: float, cfg: LossConfig) -> float
         return cfg.lambda_start
     frac = epoch / total_epochs
     return cfg.lambda_start + (cfg.lambda_end - cfg.lambda_start) * frac
-
-
-def alpha_at(cfg: LossConfig, epoch: float, total: float) -> float:
-    """``cfg.alpha``, or the point at ``epoch`` of ``total`` on its
-    ``("linear", start, end)`` schedule; a list is that spec after a JSON
-    round trip."""
-    spec = cfg.alpha_schedule
-    if spec is None:
-        return cfg.alpha
-    if isinstance(spec, (tuple, list)) and len(spec) == 3 and spec[0] == "linear":
-        try:
-            start, end = float(spec[1]), float(spec[2])
-        except (TypeError, ValueError):
-            pass  # a non-numeric endpoint is as malformed as a wrong shape
-        else:
-            if total <= 0:
-                return start
-            return start + (end - start) * (epoch / total)
-    raise ConfigError(f"malformed alpha schedule spec: {spec!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -371,11 +371,11 @@ def _inv_sqrt_psd(s: Matrix) -> Matrix:
     return (evecs / np.sqrt(evals)) @ evecs.T
 
 
-def cca(x: Matrix, y: Matrix, k: int | None = None, ridge_scale: float = 1e-8) -> np.ndarray:
+def cca(x: Matrix, y: Matrix, k: int | None = None) -> np.ndarray:
     """Canonical correlations (descending, in [0, 1]) between the two views.
 
     Whitened cross-covariance SVD: singular values of
-    Sxx^-1/2 Sxy Syy^-1/2 with ridge ridge_scale * mean(diag) on Sxx, Syy.
+    Sxx^-1/2 Sxy Syy^-1/2 with ridge 1e-8 * mean(diag) on Sxx, Syy.
     The first entry is the usual single-number alignment score.
     """
     xm = as_matrix(x, "x")
@@ -397,7 +397,7 @@ def cca(x: Matrix, y: Matrix, k: int | None = None, ridge_scale: float = 1e-8) -
     sxy = xc.T @ yc / n
     for s in (sxx, syy):
         dim = s.shape[0]
-        s[np.diag_indices(dim)] += ridge_scale * (np.trace(s) / dim)
+        s[np.diag_indices(dim)] += 1e-8 * (np.trace(s) / dim)
     t = _inv_sqrt_psd(sxx) @ sxy @ _inv_sqrt_psd(syy)
     _, sing, _ = svd(t)
     return np.clip(sing[:k], 0.0, 1.0)
@@ -506,7 +506,6 @@ class MetricConfig:
     """Defaults for the three-setting alignment report."""
 
     pca_r: int = 50
-    cca_ridge: float = 1e-8
     svcca_eta: float = 0.99
     svcca_k: int = 10
     knn_k: int = 10
@@ -524,7 +523,6 @@ class MetricConfig:
             ("knn_k", self.knn_k >= 1, ">= 1"),
             ("svcca_k", self.svcca_k >= 1, ">= 1"),
             ("svcca_eta", 0 < self.svcca_eta <= 1, "in (0, 1]"),
-            ("cca_ridge", self.cca_ridge >= 0, ">= 0"),
             ("rbf_gamma", self.rbf_gamma is None or self.rbf_gamma > 0, "> 0 or unset"),
         ):
             if not ok:
@@ -555,16 +553,10 @@ def _metric_cell(name: str, images: _View, texts: _View, cfg: MetricConfig) -> f
     n = images.x.shape[0]
     if name == "cca_linear":
         r = min(cfg.pca_r, n - 1, images.x.shape[1], texts.x.shape[1])
-        return float(cca(images.pca(r), texts.pca(r), ridge_scale=cfg.cca_ridge)[0])
+        return float(cca(images.pca(r), texts.pca(r))[0])
     if name == "cca_kernel":
         r = min(cfg.pca_r, n - 1)
-        return float(
-            cca(
-                images.kpca(r, cfg.rbf_gamma),
-                texts.kpca(r, cfg.rbf_gamma),
-                ridge_scale=cfg.cca_ridge,
-            )[0]
-        )
+        return float(cca(images.kpca(r, cfg.rbf_gamma), texts.kpca(r, cfg.rbf_gamma))[0])
     if name == "cka":
         return _cka(images, texts, cfg.kernel, cfg.rbf_gamma)
     if name == "svcca":

@@ -97,18 +97,18 @@ class Dense(_Layer):
 
 class LayerNorm(_Layer):
     PARAMS = ("g", "b")
+    EPS = 1e-5
 
-    def __init__(self, name: str, dim: int, eps: float = 1e-5):
+    def __init__(self, name: str, dim: int):
         self.name = name
         self.g = np.ones(dim)
         self.b = np.zeros(dim)
-        self.eps = eps
 
     def forward(self, x, train, rng):
         mu = x.mean(axis=1, keepdims=True)
         xc = x - mu
         var = (xc * xc).mean(axis=1, keepdims=True)
-        s = np.sqrt(var + self.eps)
+        s = np.sqrt(var + self.EPS)
         xhat = xc / s
         return xhat * self.g + self.b, (xhat, s)
 
@@ -209,7 +209,6 @@ class AutoencoderConfig:
     hidden_dims: list[int] = field(default_factory=lambda: [512, 512, 512])
     latent_dim: int = 256
     dropout: float = 0.1
-    layernorm_eps: float = 1e-5
 
     def __post_init__(self):
         if self.input_dim < 1 or self.latent_dim < 1:
@@ -223,7 +222,7 @@ class AutoencoderConfig:
 def _make_stage(name, d_in, width, cfg, rng):
     return [
         Dense(f"{name}.dense", d_in, width, rng),
-        LayerNorm(f"{name}.ln", width, cfg.layernorm_eps),
+        LayerNorm(f"{name}.ln", width),
         SwiGLU(f"{name}.glu", width, width, rng),
         Dropout(f"{name}.drop", cfg.dropout),
         ResidualMLP(f"{name}.res", width, cfg.dropout, rng),
@@ -405,27 +404,19 @@ class AdamW:
     """AdamW (Loshchilov & Hutter, 2019) over the vector of a `FlatParams`.
 
     Decay is applied as p -= lr * wd * p, independent of the adaptive update;
-    names in ``no_decay`` are exempt. `step` takes the gradient as one vector
-    of the same layout and updates it in blocks of ``_ADAMW_BLOCK`` elements,
-    each element with the float operations of the per-tensor update, so the
-    result does not depend on the layout.
+    names in ``no_decay`` are exempt. ``BETAS`` and ``EPS`` are the paper's
+    defaults. `step` takes the gradient as one vector of the same layout and
+    updates it in blocks of ``_ADAMW_BLOCK`` elements, each element with the
+    float operations of the per-tensor update, so the result does not depend
+    on the layout.
     """
 
-    def __init__(
-        self,
-        params: FlatParams,
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        weight_decay: float = 0.01,
-        no_decay=(),
-    ):
+    BETAS = (0.9, 0.999)
+    EPS = 1e-8
+
+    def __init__(self, params: FlatParams, lr: float = 1e-3, weight_decay: float = 0.01, no_decay=()):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.m = np.zeros_like(params.vector)
         self.v = np.zeros_like(params.vector)
@@ -445,8 +436,9 @@ class AdamW:
             if bad.size:
                 raise NonFiniteGradient(f"non-finite gradient for {self.params.name_at(bad[0])}")
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        b1, b2 = self.BETAS
+        bc1 = 1.0 - b1**self.t
+        bc2 = 1.0 - b2**self.t
         decay = lr * self.weight_decay
         p, m, v = self.params.vector, self.m, self.v
         for a in range(0, p.size, _ADAMW_BLOCK):
@@ -459,19 +451,19 @@ class AdamW:
                     run -= u[: run.size]
             g, mb, vb = grad[a:b], m[a:b], v[a:b]
             # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) (g g)
-            mb *= self.beta1
-            np.multiply(1.0 - self.beta1, g, out=t)
+            mb *= b1
+            np.multiply(1.0 - b1, g, out=t)
             mb += t
-            vb *= self.beta2
+            vb *= b2
             np.multiply(g, g, out=t)
-            t *= 1.0 - self.beta2
+            t *= 1.0 - b2
             vb += t
             # p -= lr (m / bc1) / (sqrt(v / bc2) + eps)
             np.divide(mb, bc1, out=u)
             u *= lr
             np.divide(vb, bc2, out=t)
             np.sqrt(t, out=t)
-            t += self.eps
+            t += self.EPS
             u /= t
             p[a:b] -= u
 

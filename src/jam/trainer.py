@@ -48,6 +48,17 @@ from .nnet import (
 from .numkit import RngStream
 
 
+# Config keys that no caller could set, with the one value every checkpoint
+# written before their removal holds. `TrainConfig.from_dict` drops them at
+# that value and refuses any other: a run with another value cannot be rebuilt.
+_RETIRED_KEYS = {
+    "ae_cfg_vision": {"layernorm_eps": 1e-5},
+    "ae_cfg_language": {"layernorm_eps": 1e-5},
+    "loss_cfg": {"alpha_schedule": None},
+    "sim_cfg": {"logit_scale_init": math.log(1.0 / 0.07), "logit_scale_max": math.log(100.0)},
+}
+
+
 @dataclass
 class TrainConfig:
     ae_cfg_vision: AutoencoderConfig
@@ -70,6 +81,15 @@ class TrainConfig:
             raise InvalidInput("batch_size must be >= 2 (contrastive denominators)")
         if self.epochs < 0:
             raise InvalidInput("epochs must be >= 0")
+        # each bound is written so that NaN fails it
+        if not self.lr0 > 0:
+            raise InvalidInput(f"lr0 must be > 0, got {self.lr0!r}")
+        if not 0 <= self.lr_min <= self.lr0:
+            raise InvalidInput(f"lr_min must be in [0, lr0], got {self.lr_min!r}")
+        if not self.weight_decay >= 0:
+            raise InvalidInput(f"weight_decay must be >= 0, got {self.weight_decay!r}")
+        if not self.patience >= 1:
+            raise InvalidInput(f"patience must be >= 1, got {self.patience!r}")
         if self.validate_every < 1:
             raise InvalidInput("validate_every must be >= 1")
         if self.epochs and self.epochs < self.validate_every:
@@ -79,12 +99,21 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        """Rebuilds a config from its ``asdict`` form after a JSON round trip."""
+        """Rebuilds a config from its ``asdict`` form after a JSON round trip.
+
+        A key in `_RETIRED_KEYS` is dropped when it holds its one old value;
+        any other value raises InvalidInput."""
         d = dict(d)
-        for key in ("ae_cfg_vision", "ae_cfg_language"):
-            d[key] = AutoencoderConfig(**d[key])
-        d["loss_cfg"] = LossConfig(**d["loss_cfg"])
-        d["sim_cfg"] = SimilarityConfig(**d["sim_cfg"])
+        for key, sub_cls in (("ae_cfg_vision", AutoencoderConfig), ("ae_cfg_language", AutoencoderConfig),
+                             ("loss_cfg", LossConfig), ("sim_cfg", SimilarityConfig)):
+            sub, retired = d[key], _RETIRED_KEYS[key]
+            if isinstance(sub, dict):  # any other value fails in sub_cls(**sub)
+                for name, old in retired.items():
+                    if name in sub and sub[name] != old:
+                        raise InvalidInput(f"retired config key {key}.{name} must be {old!r} if present, "
+                                           f"got {sub[name]!r}")
+                sub = {k: v for k, v in sub.items() if k not in retired}
+            d[key] = sub_cls(**sub)
         if "seeds" in d:
             d["seeds"] = tuple(d["seeds"])
         return cls(**d)
@@ -262,7 +291,7 @@ def train(train_ds: PairedDataset, val_ds: PairedDataset, cfg: TrainConfig, seed
     model = TrainedJAM(
         Autoencoder(cfg.ae_cfg_vision, rng_init_v),
         Autoencoder(cfg.ae_cfg_language, rng_init_l),
-        cfg.sim_cfg.logit_scale_init if learnable else None,
+        math.log(1.0 / cfg.sim_cfg.tau) if learnable else None,
     )
     params = model.params
     opt = AdamW(
@@ -284,7 +313,6 @@ def train(train_ds: PairedDataset, val_ds: PairedDataset, cfg: TrainConfig, seed
     for epoch in range(cfg.epochs):
         lr = cosine_lr(epoch, horizon, cfg.lr0, cfg.lr_min)
         lam = losses.lambda_schedule(epoch, horizon, cfg.loss_cfg)
-        alpha = losses.alpha_at(cfg.loss_cfg, epoch, horizon)
         perm = rng_shuffle.permutation(n)
         sums = {"recon_v": 0.0, "recon_l": 0.0, "align": 0.0, "total": 0.0}
         norms = []  # pre-clip gradient norms
@@ -296,7 +324,7 @@ def train(train_ds: PairedDataset, val_ds: PairedDataset, cfg: TrainConfig, seed
                 continue  # a 1-row tail cannot form a contrastive denominator
             total, grad, parts = train_step(
                 model, train_ds.images[idx], train_ds.positives[idx], train_ds.negatives[idx],
-                lam, alpha, cfg, rng_dropout, grad,
+                lam, cfg.loss_cfg.alpha, cfg, rng_dropout, grad,
             )
             if not math.isfinite(total):
                 aborted = True
@@ -305,10 +333,7 @@ def train(train_ds: PairedDataset, val_ds: PairedDataset, cfg: TrainConfig, seed
             norms.append(clip_grad_norm(grad, 1.0, params.offsets))
             opt.step(grad, lr=lr)
             if learnable:
-                np.clip(
-                    params["logit_scale"], 0.0, cfg.sim_cfg.logit_scale_max,
-                    out=params["logit_scale"],
-                )
+                np.clip(params["logit_scale"], 0.0, losses.LOG_SCALE_MAX, out=params["logit_scale"])
 
             for key in sums:
                 sums[key] += parts[key]
@@ -330,7 +355,7 @@ def train(train_ds: PairedDataset, val_ds: PairedDataset, cfg: TrainConfig, seed
                 "align": sums["align"] / denom,
                 "total": sums["total"] / denom,
                 "lambda": lam,
-                "alpha": alpha,
+                "alpha": cfg.loss_cfg.alpha,
                 "lr": lr,
                 "logit_scale": cfg.sim_cfg.scale(model.log_scale),
                 "grad_norm_mean": sum(norms) / denom,
@@ -382,7 +407,7 @@ def sweep_alpha(train_ds, val_ds, cfg: TrainConfig, alphas, seed: int | None = N
     for alpha in alphas:
         run_cfg = replace(
             cfg,
-            loss_cfg=replace(cfg.loss_cfg, objective="spread", alpha=float(alpha), alpha_schedule=None),
+            loss_cfg=replace(cfg.loss_cfg, objective="spread", alpha=float(alpha)),
         )
         model, history = train(train_ds, val_ds, run_cfg, seed=seed)
         score = history.best_score
@@ -439,7 +464,7 @@ def load_jam(path):
         raise InvalidInput(f"{path}: checkpoint metadata needs an integer seed and a train_config object")
     try:
         cfg = TrainConfig.from_dict(meta["train_config"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, InvalidInput) as exc:
         raise InvalidInput(f"{path}: checkpoint has no valid train_config ({exc!r})") from exc
     model = TrainedJAM(
         Autoencoder(cfg.ae_cfg_vision, RngStream(0)),

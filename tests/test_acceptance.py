@@ -101,7 +101,7 @@ def _objective_closure(objective, alpha, include_positive=False):
     )
     model = TrainedJAM(
         Autoencoder(cfg.ae_cfg_vision, RngStream(1)), Autoencoder(cfg.ae_cfg_language, RngStream(2)),
-        SIM.logit_scale_init,
+        math.log(1.0 / SIM.tau),
     )
     lam = losses.lambda_schedule(3, 10, cfg.loss_cfg)
 

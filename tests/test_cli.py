@@ -1,16 +1,17 @@
 import argparse
 import csv
 import json
+from dataclasses import fields, is_dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 
-from jam import cli
+from jam import cli, embed_io
 from jam.cli import main
-from jam.embed_io import read_embeddings, write_embeddings
-from jam.losses import LossConfig
-from jam.metrics import METRIC_NAMES
+from jam.embed_io import SynthConfig, read_embeddings, write_embeddings
+from jam.metrics import METRIC_NAMES, MetricConfig
 from jam.nnet import Autoencoder, AutoencoderConfig, load_checkpoint, save_checkpoint
 from jam.numkit import RngStream
 from jam.trainer import TrainConfig, TrainedJAM, save_jam
@@ -138,6 +139,13 @@ class TestMetricsCommand:
         assert report["config"]["knn_k"] == 5
         assert report["metric_config"]["knn_k"] == 5
 
+    def test_manifest_parsed_once(self, synth_dir, tmp_path, monkeypatch):
+        paths = []
+        read_manifest = embed_io.read_manifest
+        monkeypatch.setattr(embed_io, "read_manifest", lambda path: paths.append(path) or read_manifest(path))
+        assert run_cli(["metrics", "--manifest", synth_dir / "manifest.json", "--out-dir", tmp_path / "m"]) == 0
+        assert len(paths) == 1
+
     def test_bad_manifest_exits_3(self, tmp_path):
         missing = tmp_path / "nope.json"
         assert run_cli(["metrics", "--manifest", missing, "--out-dir", tmp_path / "m"]) == 3
@@ -212,6 +220,17 @@ def save_small_checkpoint(path):
     model = TrainedJAM(Autoencoder(cfg.ae_cfg_vision, RngStream(1)),
                        Autoencoder(cfg.ae_cfg_language, RngStream(2)), 2.0)
     save_jam(path, model, cfg, 5)
+
+
+def with_retired_keys(meta):
+    """Checkpoint metadata as written before the retired config fields went:
+    each at the one value it held, as JSON stores it."""
+    train_config = meta["train_config"]
+    for section in ("ae_cfg_vision", "ae_cfg_language"):
+        train_config[section]["layernorm_eps"] = 1e-05
+    train_config["loss_cfg"]["alpha_schedule"] = None
+    train_config["sim_cfg"].update(logit_scale_init=2.659260036932778, logit_scale_max=4.605170185988092)
+    return meta
 
 
 class TestTrainEvalCommands:
@@ -346,6 +365,44 @@ class TestTrainEvalCommands:
         assert run_cli(args) == 0
         assert json.loads((tmp_path / "eval" / "result.json").read_text())["objective"] == "spread"
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--patience", "0"), ("--patience", "-3"), ("--lr0", "-1"), ("--lr0", "nan"),
+        ("--weight-decay", "-1"), ("--lr-min", "5"), ("--tau", "nan"), ("--tau", "inf"),
+    ])
+    def test_out_of_range_train_option_exits_3(self, synth_dir, tmp_path, capsys, flag, value):
+        out = tmp_path / "train"
+        assert run_cli(fast_train_args(synth_dir, out) + [flag, value]) == 3
+        assert f"{flag[2:].replace('-', '_')} must be" in capsys.readouterr().err
+        assert not (out / "checkpoint_5.jckp").exists()
+
+    def test_checkpoint_with_retired_keys_evals_the_same(self, synth_dir, tmp_path):
+        """Checkpoints written before the never-set config fields were retired
+        hold them at their one value; they load and score the same."""
+        path = tmp_path / "m.jckp"
+        save_small_checkpoint(path)
+        args = ["eval", "--checkpoint", path, "--manifest", synth_dir / "manifest.json"]
+        assert run_cli(args + ["--out-dir", tmp_path / "now"]) == 0
+        tensors, meta = load_checkpoint(path)
+        save_checkpoint(path, tensors, with_retired_keys(meta))
+        assert run_cli(args + ["--out-dir", tmp_path / "old"]) == 0
+        now, old = (json.loads((tmp_path / d / "result.json").read_text()) for d in ("now", "old"))
+        assert old["result"] == now["result"]
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("ae_cfg_vision", "layernorm_eps", 1e-3), ("loss_cfg", "alpha_schedule", ["linear", 0.25, 0.75]),
+    ])
+    def test_retired_key_at_another_value_exits_3(self, synth_dir, tmp_path, capsys, section, key, value):
+        path = tmp_path / "m.jckp"
+        save_small_checkpoint(path)
+        tensors, meta = load_checkpoint(path)
+        meta = with_retired_keys(meta)
+        meta["train_config"][section][key] = value
+        save_checkpoint(path, tensors, meta)
+        args = ["eval", "--checkpoint", path, "--manifest", synth_dir / "manifest.json",
+                "--out-dir", tmp_path / "eval"]
+        assert run_cli(args) == 3
+        assert f"{section}.{key}" in capsys.readouterr().err
+
     def test_missing_manifest_exits_3(self, tmp_path):
         code = run_cli(["train", "--manifest", tmp_path / "no.json", "--out-dir", tmp_path / "o",
                         "--epochs", 4, "--validate-every", 2])
@@ -478,12 +535,11 @@ class TestSurface:
             epochs=2,
             validate_every=1,
             seeds=(7,),
-            loss_cfg=LossConfig(alpha_schedule=("linear", 0.25, 0.75)),
         )
         vision = Autoencoder(cfg.ae_cfg_vision, RngStream(0))
         language = Autoencoder(cfg.ae_cfg_language, RngStream(1))
         save_jam(tmp_path / "m.jckp", TrainedJAM(vision, language, 2.0), cfg, 7)
-        ae = {"dropout": 0.1, "hidden_dims": [4], "latent_dim": 3, "layernorm_eps": 1e-05}
+        ae = {"dropout": 0.1, "hidden_dims": [4], "latent_dim": 3}
         assert load_checkpoint(tmp_path / "m.jckp")[1] == {
             "format_version": 1,
             "seed": 7,
@@ -492,16 +548,30 @@ class TestSurface:
                 "ae_cfg_vision": {**ae, "input_dim": 6},
                 "batch_size": 32,
                 "epochs": 2,
-                "loss_cfg": {"alpha": 0.5, "alpha_schedule": ["linear", 0.25, 0.75],
-                             "include_positive_in_denominator": False, "lambda_end": 0.1,
+                "loss_cfg": {"alpha": 0.5, "include_positive_in_denominator": False, "lambda_end": 0.1,
                              "lambda_start": 1.0, "objective": "spread"},
                 "lr0": 0.001,
                 "lr_min": 1e-05,
                 "patience": 5,
                 "seeds": [7],
-                "sim_cfg": {"logit_scale_init": 2.659260036932778, "logit_scale_max": 4.605170185988092,
-                            "logit_scale_mode": "learnable", "tau": 0.07},
+                "sim_cfg": {"logit_scale_mode": "learnable", "tau": 0.07},
                 "validate_every": 1,
                 "weight_decay": 0.01,
             },
         }
+
+    def test_every_config_field_is_a_key(self):
+        """A config field that no key reaches is a setting no caller can vary.
+        Only the input widths, which come from the data, and sweep-alpha's
+        seeds (it takes one ``seed``) are not keys."""
+
+        def names(cls):
+            hints = get_type_hints(cls)
+            return {name for f in fields(cls)
+                    for name in (names(hints[f.name]) if is_dataclass(hints[f.name]) else {f.name})}
+
+        train = names(TrainConfig) - {"input_dim"}
+        assert names(SynthConfig) <= set(cli._COMMAND_KEYS["synth"])
+        assert names(MetricConfig) <= set(cli._COMMAND_KEYS["metrics"])
+        assert train <= set(cli._COMMAND_KEYS["train"])
+        assert train - {"seeds"} <= set(cli._COMMAND_KEYS["sweep-alpha"])

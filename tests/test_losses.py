@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jam.errors import ConfigError, DegenerateInput, InvalidInput
+from jam.errors import DegenerateInput, InvalidInput
 from jam.losses import (
     LossConfig,
     SimilarityConfig,
     _LogitGraph,
     alignment_grads,
-    alpha_at,
     lambda_schedule,
     mse_recon,
 )
@@ -22,6 +21,7 @@ from jam.trainer import TrainConfig, TrainedJAM, train_step
 
 SIM = SimilarityConfig()
 FIXED = SimilarityConfig(logit_scale_mode="fixed")
+LOG_SCALE0 = math.log(1.0 / SIM.tau)  # where a learnable scale starts
 
 
 def loss_value(objective, zv, zlp, zln=None, alpha=0.0, sim=SIM, log_scale=None,
@@ -56,7 +56,7 @@ class TestCosineLogits:
 
     def test_learnable_init_matches_fixed(self):
         z = RngStream(2).gaussian(5, 4)
-        learn = _LogitGraph(z, z, SIM, SIM.logit_scale_init).s
+        learn = _LogitGraph(z, z, SIM, LOG_SCALE0).s
         fixed = _LogitGraph(z, z, FIXED, None).s
         np.testing.assert_allclose(learn, fixed, atol=1e-12)
 
@@ -305,36 +305,6 @@ class TestSchedules:
         assert abs(lambda_schedule(100, 100, cfg) - 0.1) < 1e-15
         assert abs(lambda_schedule(50, 100, cfg) - 0.55) < 1e-12
 
-    def test_alpha_fixed_and_linear(self):
-        assert alpha_at(LossConfig(alpha=0.3), 7, 10) == 0.3
-        linear = LossConfig(alpha_schedule=("linear", 0.9, 0.1))
-        assert alpha_at(linear, 0, 10) == 0.9
-        assert abs(alpha_at(linear, 10, 10) - 0.1) < 1e-15
-        # a JSON round trip turns the tuple into a list, which reads the same
-        assert alpha_at(LossConfig(alpha_schedule=["linear", 0.9, 0.1]), 4, 10) == alpha_at(linear, 4, 10)
-
-    def test_malformed_specs(self):
-        with pytest.raises(ConfigError):
-            LossConfig(alpha_schedule=("sweep", [0.1, 0.5]))
-        with pytest.raises(ConfigError):
-            LossConfig(alpha_schedule="nonsense")
-
-    # a bare number and ("fixed", v) would restate ``alpha``; neither is a schedule
-    @pytest.mark.parametrize(
-        "spec", [("nonsense",), ("linear", "a", 1.0), ("fixed", None), ("sweep", [0.5]), 0.5, ("fixed", 0.3)]
-    )
-    def test_config_rejects_malformed_schedule(self, spec):
-        with pytest.raises(ConfigError):
-            LossConfig(alpha_schedule=spec)
-
-    @pytest.mark.parametrize("spec", [("linear", 0.0, 2.0), ("linear", -0.5, 1.0), ("linear", 0.5, float("nan"))])
-    def test_config_rejects_schedule_outside_unit_interval(self, spec):
-        with pytest.raises(InvalidInput):
-            LossConfig(alpha_schedule=spec)
-
-    def test_config_accepts_schedule_in_unit_interval(self):
-        assert LossConfig(alpha_schedule=("linear", 1.0, 0.0)).alpha_schedule == ("linear", 1.0, 0.0)
-
 
 def step_problem(objective="spread", alpha=0.5, seed=19):
     """Two tiny dropout-0 autoencoders and one batch, for `train_step`."""
@@ -345,7 +315,7 @@ def step_problem(objective="spread", alpha=0.5, seed=19):
     )
     vision = Autoencoder(cfg.ae_cfg_vision, RngStream(seed))
     language = Autoencoder(cfg.ae_cfg_language, RngStream(seed + 1))
-    model = TrainedJAM(vision, language, cfg.sim_cfg.logit_scale_init)
+    model = TrainedJAM(vision, language, LOG_SCALE0)
     r = RngStream(seed + 2)
     return cfg, model, r.gaussian(6, 5), r.gaussian(6, 7), r.gaussian(6, 7)
 
@@ -388,7 +358,7 @@ class TestGradients:
         if objective != "spread" and alpha != 0.5:
             pytest.skip("alpha only affects spread")
         zv, zlp, zln = batch(25)
-        ls = SIM.logit_scale_init
+        ls = LOG_SCALE0
 
         def value():
             return alignment_grads(objective, zv, zlp, zln, alpha, SIM, ls)[0]
@@ -411,7 +381,7 @@ class TestGradients:
 
     def test_log_scale_grad_matches_fd(self):
         zv, zlp, zln = batch(26)
-        ls = SIM.logit_scale_init
+        ls = LOG_SCALE0
         _, _, _, _, d_ls, _ = alignment_grads("spread", zv, zlp, zln, 0.5, SIM, ls)
         h = 1e-6
         up = alignment_grads("spread", zv, zlp, zln, 0.5, SIM, ls + h)[0]

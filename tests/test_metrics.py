@@ -513,7 +513,7 @@ class TestSvcca:
 class TestAlignmentReport:
     @pytest.mark.parametrize("field, value", [
         ("pca_r", 0), ("knn_k", 0), ("svcca_k", 0), ("svcca_eta", 0.0), ("svcca_eta", 1.01),
-        ("svcca_eta", float("nan")), ("cca_ridge", -1e-9), ("rbf_gamma", 0.0), ("rbf_gamma", -1.0),
+        ("svcca_eta", float("nan")), ("rbf_gamma", 0.0), ("rbf_gamma", -1.0),
     ])
     def test_config_rejects_out_of_range_values(self, field, value):
         with pytest.raises(InvalidInput, match=f"{field} must be"):

@@ -183,6 +183,24 @@ class TestTrain:
         with pytest.raises(InvalidInput):
             tiny_cfg(batch_size=1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("lr0", 0.0), ("lr0", -1.0), ("lr0", float("nan")), ("lr_min", -1e-9), ("lr_min", 2e-3),
+        ("lr_min", float("nan")), ("weight_decay", -0.01), ("weight_decay", float("nan")),
+        ("patience", 0), ("patience", -3),
+    ])
+    def test_config_rejects_out_of_range_values(self, field, value):
+        with pytest.raises(InvalidInput, match=f"{field} must be"):
+            tiny_cfg(**{field: value})
+
+    def test_config_accepts_the_bounds(self):
+        tiny_cfg(lr_min=0.0, weight_decay=0.0, patience=1)
+        tiny_cfg(lr_min=1e-3)  # lr_min may equal lr0
+
+    def test_learnable_scale_starts_at_log_inverse_tau(self, tiny_data):
+        tr, va, _ = tiny_data
+        model, _ = train(tr, va, tiny_cfg(epochs=0, sim_cfg=SimilarityConfig(tau=0.2)), seed=5)
+        assert model.log_scale == math.log(1.0 / 0.2)
+
 
 class TestFlatLayout:
     @staticmethod
@@ -234,7 +252,7 @@ class TestFlatLayout:
     def test_train_step_writes_every_gradient(self, tiny_data, objective):
         tr, _, _ = tiny_data
         cfg = tiny_cfg(objective)
-        model = TrainedJAM(*self._pair(cfg), cfg.sim_cfg.logit_scale_init)
+        model = TrainedJAM(*self._pair(cfg), math.log(1.0 / cfg.sim_cfg.tau))
         grad = np.full_like(model.params.vector, np.nan)
         total, out, _ = train_step(
             model, tr.images[:8], tr.positives[:8], tr.negatives[:8], 1.0, 0.5, cfg, RngStream(3), grad,
