@@ -28,7 +28,6 @@ shows in seconds. The workloads and their sizes are
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 import tempfile
@@ -42,7 +41,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 from jam import losses, trainer  # noqa: E402
-from jam.nnet import Autoencoder, AutoencoderConfig  # noqa: E402
+from jam.nnet import AutoencoderConfig  # noqa: E402
 from jam.numkit import RngStream  # noqa: E402
 
 
@@ -57,8 +56,10 @@ def loss_digests(seed):
                 for alpha in (0.0, 0.25, 0.75, 1.0):
                     for include_positive in (False, True):
                         for sim_cfg, log_scale in scales:
+                            loss_cfg = losses.LossConfig(objective, alpha,
+                                                         include_positive_in_denominator=include_positive)
                             value, *grads, d_log_scale, parts = losses.alignment_grads(
-                                objective, zv, zlp, text_negatives, alpha, sim_cfg, log_scale, include_positive)
+                                zv, zlp, text_negatives, loss_cfg, sim_cfg, log_scale)
                             digest.update(repr((value, d_log_scale, parts)).encode("utf-8"))
                             for grad in grads:
                                 digest.update(np.ascontiguousarray(grad).tobytes())
@@ -72,13 +73,11 @@ def gradient_digests(seed):
         cfg = trainer.TrainConfig(
             ae_cfg_vision=AutoencoderConfig(16, [12, 10], 8, dropout=0.1),
             ae_cfg_language=AutoencoderConfig(20, [12, 10], 8, dropout=0.1),
-            loss_cfg=losses.LossConfig(objective=objective),
+            loss_cfg=losses.LossConfig(objective=objective, alpha=0.5),
             sim_cfg=losses.SimilarityConfig(logit_scale_mode="learnable"),
         )
-        model = trainer.TrainedJAM(Autoencoder(cfg.ae_cfg_vision, RngStream(seed + 1)),
-                                   Autoencoder(cfg.ae_cfg_language, RngStream(seed + 2)),
-                                   math.log(1.0 / cfg.sim_cfg.tau))
-        total, grad, parts = trainer.train_step(model, xv, xlp, xln, 0.5, 0.5, cfg, RngStream(seed + 3))
+        model = trainer.TrainedJAM(cfg, RngStream(seed + 1), RngStream(seed + 2))
+        total, grad, parts = trainer.train_step(model, xv, xlp, xln, 0.5, RngStream(seed + 3))
         digest = hashlib.sha256(repr((total, parts)).encode("utf-8"))
         digest.update(grad.tobytes())
         print(f"gradient {objective}: sha256={digest.hexdigest()}", flush=True)

@@ -365,7 +365,7 @@ def cmd_eval(config: dict) -> int:
         ds = embed_io.split_dataset(full_ds, seed=int(meta["seed"]))[names[split]]
     result = trainer.evaluate(model, ds, seed=seed)
     task = Path(config["manifest"]).stem
-    objective = trainer.TrainConfig.from_dict(meta["train_config"]).loss_cfg.objective
+    objective = model.cfg.loss_cfg.objective
     _write_record(
         out_dir / "result.json", "eval", config,
         task=task, objective=objective, seed=seed, split=split, result=asdict(result),

@@ -16,7 +16,8 @@ term differs:
 
 con         each image against the n positives; the positive is dropped
             from the denominator by default (printed form), and
-            ``include_positive`` keeps it (the standard variant).
+            ``include_positive_in_denominator`` keeps it (the standard
+            variant).
 negcon      the same against the 2n-text pool; leading 1/(2n) weight.
 spread      (1-alpha) * ConCon + alpha * contextNCE. ConCon pulls the
             anchor toward its two similar-context texts: it picks the
@@ -25,7 +26,10 @@ spread      (1-alpha) * ConCon + alpha * contextNCE. ConCon pulls the
             picks the positive in the n x 2 block [positive, hard negative].
 
 ``alignment_grads`` returns an objective's value, its named parts and
-exact gradients w.r.t. all latent inputs and the learnable log scale.
+exact gradients w.r.t. all latent inputs and the learnable log scale. Its
+settings come in two configs: the `LossConfig` names the objective, alpha
+and the denominator variant, and the `SimilarityConfig` the temperature
+and scale mode; both check their values when built.
 """
 
 from __future__ import annotations
@@ -167,27 +171,15 @@ def lambda_schedule(epoch: float, total_epochs: float, cfg: LossConfig) -> float
 # ---------------------------------------------------------------------------
 
 
-def alignment_grads(
-    objective: str,
-    zv,
-    zlp,
-    zln,
-    alpha: float,
-    sim_cfg: SimilarityConfig,
-    log_scale: float | None = None,
-    include_positive: bool = False,
-):
-    """Value and exact gradients of the selected alignment objective.
+def alignment_grads(zv, zlp, zln, loss_cfg: LossConfig, sim_cfg: SimilarityConfig, log_scale: float | None = None):
+    """Value and exact gradients of ``loss_cfg``'s alignment objective.
 
-    Returns (value, d_zv, d_zlp, d_zln, d_log_scale, parts); d_zln is zero for
-    the plain contrastive objective, which never consumes hard negatives and
-    accepts ``zln=None``. ``alpha`` must lie in [0, 1] for every objective;
-    only spread reads it.
+    ``loss_cfg`` gives the objective, spread's alpha and whether the
+    positive stays in the denominator. Returns (value, d_zv, d_zlp, d_zln,
+    d_log_scale, parts); d_zln is zero for the plain contrastive objective,
+    which never consumes hard negatives and accepts ``zln=None``.
     """
-    if objective not in OBJECTIVES:
-        raise InvalidInput(f"objective must be one of {OBJECTIVES}")
-    if not 0.0 <= alpha <= 1.0:
-        raise InvalidInput("alpha must be in [0, 1]")
+    objective, alpha = loss_cfg.objective, loss_cfg.alpha
     zv = as_matrix(zv, "zv")
     zlp = as_matrix(zlp, "zlp")
     n = zv.shape[0]
@@ -205,7 +197,7 @@ def alignment_grads(
     g = _LogitGraph(zv, texts, sim_cfg, log_scale)
 
     idx = np.arange(n)
-    drop = None if include_positive else idx  # printed form: drop the positive
+    drop = None if loss_cfg.include_positive_in_denominator else idx  # printed form: drop the positive
     if objective != "spread":  # each image against the whole pool, 1/(pool size)
         terms, ds_vl = _nce(g.s, idx, drop, 1.0 / g.s.shape[1])
         vl = float(np.sum(terms))
@@ -221,10 +213,7 @@ def alignment_grads(
         ctx_terms, ds_ctx = _nce(np.stack([g.s[idx, idx], g.s[idx, n + idx]], axis=1),
                                  np.zeros(n, dtype=np.intp), None, 1.0 / n)
         ctx = float(np.sum(ctx_terms))
-        if alpha in (0.0, 1.0):  # exact endpoints: the bare component, bit for bit
-            vl = ctx if alpha else concon
-        else:
-            vl = (1.0 - alpha) * concon + alpha * ctx
+        vl = (1.0 - alpha) * concon + alpha * ctx  # both finite: the bare component at alpha 0 or 1
         ds_vl *= 1.0 - alpha
         ds_vl[idx, idx] += alpha * ds_ctx[:, 0]
         ds_vl[idx, n + idx] += alpha * ds_ctx[:, 1]

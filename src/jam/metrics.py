@@ -59,7 +59,6 @@ randomized subspace iteration with 8 power steps was 2.7% off there.
 
 from __future__ import annotations
 
-import mmap
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -421,30 +420,12 @@ def _svcca(xv: _View, yv: _View, eta: float, k: int) -> float:
     return float(np.mean(corrs[:top]))
 
 
-def _kept(a: np.ndarray) -> np.ndarray:
-    """Copy of ``a`` in its own anonymous mapping, outside the malloc heap.
-
-    Once an n x n array has been freed, glibc serves requests below 32 MiB
-    from its heap, and a small block kept there splits the freed n x n
-    blocks. At n=2000 that no longer shows in the report's own peak RSS
-    (medians 131.4 MB with the copies, 130.3 without), but it may in the
-    process after it: in 12 alternating 10 s ``metric-report`` benchmark
-    pairs, the training that follows the report read a median 1581
-    samples/s with the copies and 1525 without, higher in 8 of the 12.
-    """
-    out = np.ndarray(a.shape, a.dtype, buffer=mmap.mmap(-1, max(a.nbytes, 1)),
-                     order="F" if np.isfortran(a) else "C")
-    out[...] = a
-    return out
-
-
 class _View:
     """One embedding set and the costly results the metric cells derive from it.
 
     The SVD of the centered features, the kernel-PCA scores and the kNN
-    index sets are computed on first use and kept (see _kept), so a report
-    that pairs the images with several text sets derives the image side
-    once. What is kept is d x d, n x r or n x k, never n x n. The centered
+    index sets are computed on first use and kept, so a report that pairs
+    the images with several text sets derives the image side once. What is kept is d x d, n x r or n x k, never n x n. The centered
     features and the projections cost O(n d r) and are formed again when
     asked for: holding them would add to the memory peak of every later
     n x n eigendecomposition. A computation that raises is not kept.
@@ -456,8 +437,7 @@ class _View:
 
     def _memoized(self, key, compute):
         if key not in self._memo:
-            value = compute()
-            self._memo[key] = tuple(map(_kept, value)) if isinstance(value, tuple) else _kept(value)
+            self._memo[key] = compute()
         return self._memo[key]
 
     def _svd(self) -> tuple[np.ndarray, Matrix]:

@@ -83,11 +83,11 @@ def check_symmetric(a, name: str, tol: float) -> Matrix:
 _LANCZOS_ROWS_PER_PAIR = 20
 
 
-def sym_eig(s: Matrix, tol: float = 1e-10, top: int | None = None) -> tuple[np.ndarray, Matrix]:
+def sym_eig(s: Matrix, top: int | None = None) -> tuple[np.ndarray, Matrix]:
     """Eigendecomposition of a symmetric matrix, eigenvalues descending.
 
     With ``top`` only the ``top`` largest eigenpairs are returned (all n by
-    default). Asymmetry beyond ``tol`` (scaled by max(1, max|S|)) is
+    default). Asymmetry beyond 1e-10 (scaled by max(1, max|S|)) is
     rejected. The input is not modified. The solver depends on the shape
     alone: ARPACK's Lanczos (``eigsh``) to machine precision when
     n >= 20 * top, from a seeded start vector so that reruns give the same
@@ -96,7 +96,7 @@ def sym_eig(s: Matrix, tol: float = 1e-10, top: int | None = None) -> tuple[np.n
     scipy's BLAS ``dsymv``, whose bits depend on the BLAS thread count as
     well as the build.
     """
-    m = check_symmetric(s, "matrix", tol)
+    m = check_symmetric(s, "matrix", 1e-10)
     n = m.shape[0]
     top = n if top is None else int(top)
     if not min(n, 1) <= top <= n:

@@ -10,13 +10,18 @@ early after ``patience`` consecutive non-improving validations and always
 returns the parameters of the best recorded validation. Epoch records give
 the mean and largest pre-clip gradient norm and the share of clipped steps.
 
+A `TrainedJAM` is built from one `TrainConfig` and keeps it as ``cfg``:
+its autoencoders, whether it holds a logit scale and where that starts, and
+the objective, alpha and similarity settings `train_step` reads all come
+from there, so a model and the settings of its steps cannot disagree.
+
 Every trained parameter lives in one float64 vector, `TrainedJAM.params` (a
 `nnet.FlatParams`), that the model owns: both autoencoders' layers hold its
-views, bound by position in `Autoencoder.parameters` order, and the logit
-scale is its last element. Its layout is the order backward writes gradients
-in, so the gradient of a step is one plain vector of the same layout, filled
-front to back by position, and clipping, AdamW and the best/initial
-snapshots each work on one array.
+views, bound by position in `Autoencoder.parameters` order, and a learnable
+logit scale is its last element. Its layout is the order backward writes
+gradients in, so the gradient of a step is one plain vector of the same
+layout, filled front to back by position, and clipping, AdamW and the
+best/initial snapshots each work on one array.
 
 The language autoencoder reconstructs positive and hard-negative texts in
 every objective (hard negatives must be encodable at evaluation time);
@@ -154,29 +159,31 @@ class EarlyStopping:
 
 
 class TrainedJAM:
-    """A pair of autoencoders trained jointly, plus similarity state.
+    """A pair of autoencoders trained jointly, plus similarity state, built
+    from one `TrainConfig`, which it keeps as ``cfg``.
 
     ``params`` holds every trained parameter in one `FlatParams`: ``v.*``
     (vision) and ``l.*`` (language), each in `Autoencoder.parameters` order,
-    then ``logit_scale`` as a one-element array when ``log_scale`` is given.
-    The autoencoders are bound to it: from here on their layers' parameters
-    are the very views in ``params``, the vision ones at ``vision_span`` of
-    its vector and the language ones at ``language_span``. A gradient vector
-    has the same layout.
+    then ``logit_scale``, starting at log(1/tau), as a one-element array
+    exactly when the config's scale is learnable. The autoencoders are bound
+    to it: their layers' parameters are the very views in ``params``, the
+    vision ones at ``vision_span`` of its vector and the language ones at
+    ``language_span``. A gradient vector has the same layout.
     """
 
-    def __init__(self, vision_ae: Autoencoder, language_ae: Autoencoder, log_scale: float | None = None):
-        self.vision_ae = vision_ae
-        self.language_ae = language_ae
-        vision, language = vision_ae.parameters(), language_ae.parameters()
+    def __init__(self, cfg: TrainConfig, rng_vision: RngStream, rng_language: RngStream):
+        self.cfg = cfg
+        self.vision_ae = Autoencoder(cfg.ae_cfg_vision, rng_vision)
+        self.language_ae = Autoencoder(cfg.ae_cfg_language, rng_language)
+        vision, language = self.vision_ae.parameters(), self.language_ae.parameters()
         arrays = {f"v.{name}": arr for name, arr in vision.items()}
         arrays.update((f"l.{name}", arr) for name, arr in language.items())
-        if log_scale is not None:
-            arrays["logit_scale"] = np.array([log_scale])
+        if cfg.sim_cfg.logit_scale_mode == "learnable":
+            arrays["logit_scale"] = np.array([math.log(1.0 / cfg.sim_cfg.tau)])
         self.params = FlatParams(arrays)
         views = iter(self.params.values())
-        vision_ae.bind(views)
-        language_ae.bind(views)
+        self.vision_ae.bind(views)
+        self.language_ae.bind(views)
         bounds = self.params.offsets.tolist()
         v_end, l_end = bounds[len(vision)], bounds[len(vision) + len(language)]
         self.vision_span, self.language_span = slice(0, v_end), slice(v_end, l_end)
@@ -214,9 +221,10 @@ def evaluate(model: TrainedJAM, ds: PairedDataset, seed: int) -> RetrievalResult
     )
 
 
-def train_step(model: TrainedJAM, xv, xlp, xln, lam, alpha, cfg: TrainConfig, rng, grad=None):
+def train_step(model: TrainedJAM, xv, xlp, xln, lam, rng, grad=None):
     """Objective and gradients of one joint step on one batch, at the
-    model's current parameters.
+    model's current parameters and under its config's loss and similarity
+    settings.
 
     Forwards images, positive texts and hard-negative texts in train mode (in
     that order, drawing dropout from ``rng``), adds the lambda-weighted
@@ -236,8 +244,7 @@ def train_step(model: TrainedJAM, xv, xlp, xln, lam, alpha, cfg: TrainConfig, rn
     x_l = np.concatenate([xlp, xln])
     recon_l = losses.mse_recon(x_l, np.concatenate([xhat_lp, xhat_ln]))
     align, d_zv, d_zlp, d_zln, d_ls, parts = losses.alignment_grads(
-        cfg.loss_cfg.objective, zv, zlp, zln, alpha=alpha, sim_cfg=cfg.sim_cfg,
-        log_scale=model.log_scale, include_positive=cfg.loss_cfg.include_positive_in_denominator,
+        zv, zlp, zln, model.cfg.loss_cfg, model.cfg.sim_cfg, model.log_scale
     )
     total = lam * (recon_v + recon_l) + align
     parts.update(recon_v=recon_v, recon_l=recon_l, align=align, total=total)
@@ -287,13 +294,9 @@ def train(train_ds: PairedDataset, val_ds: PairedDataset, cfg: TrainConfig, seed
     rng_shuffle = root.fork()
     rng_dropout = root.fork()
 
-    learnable = cfg.sim_cfg.logit_scale_mode == "learnable"
-    model = TrainedJAM(
-        Autoencoder(cfg.ae_cfg_vision, rng_init_v),
-        Autoencoder(cfg.ae_cfg_language, rng_init_l),
-        math.log(1.0 / cfg.sim_cfg.tau) if learnable else None,
-    )
+    model = TrainedJAM(cfg, rng_init_v, rng_init_l)
     params = model.params
+    learnable = "logit_scale" in params
     opt = AdamW(
         params,
         lr=cfg.lr0,
@@ -324,7 +327,7 @@ def train(train_ds: PairedDataset, val_ds: PairedDataset, cfg: TrainConfig, seed
                 continue  # a 1-row tail cannot form a contrastive denominator
             total, grad, parts = train_step(
                 model, train_ds.images[idx], train_ds.positives[idx], train_ds.negatives[idx],
-                lam, cfg.loss_cfg.alpha, cfg, rng_dropout, grad,
+                lam, rng_dropout, grad,
             )
             if not math.isfinite(total):
                 aborted = True
@@ -437,8 +440,9 @@ def train_on_split(full_ds: PairedDataset, cfg: TrainConfig, seed: int):
     return model, history, result, splits
 
 
-def save_jam(path, model: TrainedJAM, cfg: TrainConfig, seed: int, extra_meta: dict | None = None):
-    """Persist a trained model: parameters and config echo.
+def save_jam(path, model: TrainedJAM, cfg: TrainConfig, seed: int):
+    """Persist a trained model: parameters and config echo (``cfg``, the
+    config the model was built from).
 
     The optimizer state is not written; checkpoints that hold it (``opt.*``
     tensors) still load, since ``load_jam`` reads only the parameters."""
@@ -447,13 +451,12 @@ def save_jam(path, model: TrainedJAM, cfg: TrainConfig, seed: int, extra_meta: d
         "seed": int(seed),
         "format_version": 1,
     }
-    if extra_meta:
-        meta.update(extra_meta)
     save_checkpoint(path, model.params, meta)
 
 
 def load_jam(path):
-    """Rebuild a TrainedJAM from a checkpoint; returns (model, meta).
+    """Rebuild a TrainedJAM from a checkpoint; returns (model, meta), the
+    model built from the config in ``meta``.
 
     The metadata must hold an integer ``seed`` and a ``train_config`` object.
     The ``v.*`` and ``l.*`` tensors must be the model's, and ``logit_scale``
@@ -466,11 +469,7 @@ def load_jam(path):
         cfg = TrainConfig.from_dict(meta["train_config"])
     except (KeyError, TypeError, InvalidInput) as exc:
         raise InvalidInput(f"{path}: checkpoint has no valid train_config ({exc!r})") from exc
-    model = TrainedJAM(
-        Autoencoder(cfg.ae_cfg_vision, RngStream(0)),
-        Autoencoder(cfg.ae_cfg_language, RngStream(0)),
-        0.0 if cfg.sim_cfg.logit_scale_mode == "learnable" else None,  # read in below
-    )
+    model = TrainedJAM(cfg, RngStream(0), RngStream(0))  # parameters read in below
     params = model.params
     if {k for k in tensors if k.startswith(("v.", "l.")) or k == "logit_scale"} != set(params):
         raise InvalidInput(f"{path}: checkpoint parameter names do not match the model "

@@ -23,7 +23,6 @@ from jam.evalkit import recall_5way, recall_binary
 from jam.losses import LossConfig, SimilarityConfig
 from jam.metrics import cca, cka, cknna, gram, svcca
 from jam.nnet import (
-    Autoencoder,
     AutoencoderConfig,
     Dense,
     Dropout,
@@ -99,14 +98,11 @@ def _objective_closure(objective, alpha, include_positive=False):
         ),
         sim_cfg=SIM,
     )
-    model = TrainedJAM(
-        Autoencoder(cfg.ae_cfg_vision, RngStream(1)), Autoencoder(cfg.ae_cfg_language, RngStream(2)),
-        math.log(1.0 / SIM.tau),
-    )
+    model = TrainedJAM(cfg, RngStream(1), RngStream(2))
     lam = losses.lambda_schedule(3, 10, cfg.loss_cfg)
 
     def step():
-        return train_step(model, x_v, x_lp, x_ln, lam, alpha, cfg, RngStream(777))
+        return train_step(model, x_v, x_lp, x_ln, lam, RngStream(777))
 
     _, grad, _ = step()
     return model.params, lambda: step()[0], named_views(model.params, grad)
@@ -358,17 +354,18 @@ class TestCriterion5ExactLossValues:
         n, d = 6, 8
         row = RngStream(0).gaussian(1, d)
         uniform = np.tile(row, (n, 1))
-        con_val = losses.alignment_grads("con", uniform, uniform.copy(), None, 0.0, SIM)[0]
+        con_val = losses.alignment_grads(uniform, uniform.copy(), None, LossConfig("con", 0.0), SIM)[0]
         assert abs(con_val - math.log(n - 1)) <= 1e-9
 
-        ctx = losses.alignment_grads("spread", uniform, uniform.copy(), uniform.copy(), 1.0, SIM)[5]["contextnce"]
+        spread_at_1 = LossConfig("spread", 1.0)
+        ctx = losses.alignment_grads(uniform, uniform.copy(), uniform.copy(), spread_at_1, SIM)[5]["contextnce"]
         assert abs(ctx - math.log(2)) <= 1e-12
 
         r = RngStream(1)
         zv, zlp, zln = r.gaussian(n, d), r.gaussian(n, d), r.gaussian(n, d)
-        concon = losses.alignment_grads("spread", zv, zlp, zln, 0.5, SIM)[5]["concon"]
-        at_0 = losses.alignment_grads("spread", zv, zlp, zln, 0.0, SIM)[5]
-        at_1 = losses.alignment_grads("spread", zv, zlp, zln, 1.0, SIM)[5]
+        concon = losses.alignment_grads(zv, zlp, zln, LossConfig("spread", 0.5), SIM)[5]["concon"]
+        at_0 = losses.alignment_grads(zv, zlp, zln, LossConfig("spread", 0.0), SIM)[5]
+        at_1 = losses.alignment_grads(zv, zlp, zln, LossConfig("spread", 1.0), SIM)[5]
         assert at_0["spread_vl"] == concon
         assert at_1["spread_vl"] == at_1["contextnce"]
         report(

@@ -12,7 +12,7 @@ from jam import cli, embed_io
 from jam.cli import main
 from jam.embed_io import SynthConfig, read_embeddings, write_embeddings
 from jam.metrics import METRIC_NAMES, MetricConfig
-from jam.nnet import Autoencoder, AutoencoderConfig, load_checkpoint, save_checkpoint
+from jam.nnet import AutoencoderConfig, load_checkpoint, save_checkpoint
 from jam.numkit import RngStream
 from jam.trainer import TrainConfig, TrainedJAM, save_jam
 
@@ -217,9 +217,7 @@ def save_small_checkpoint(path):
     """A learnable-scale 16/20 -> [4] -> 3 model, saved at seed 5 with the default config."""
     cfg = TrainConfig(ae_cfg_vision=AutoencoderConfig(16, [4], 3),
                       ae_cfg_language=AutoencoderConfig(20, [4], 3))
-    model = TrainedJAM(Autoencoder(cfg.ae_cfg_vision, RngStream(1)),
-                       Autoencoder(cfg.ae_cfg_language, RngStream(2)), 2.0)
-    save_jam(path, model, cfg, 5)
+    save_jam(path, TrainedJAM(cfg, RngStream(1), RngStream(2)), cfg, 5)
 
 
 def with_retired_keys(meta):
@@ -364,6 +362,17 @@ class TestTrainEvalCommands:
                 "--out-dir", tmp_path / "eval"]
         assert run_cli(args) == 0
         assert json.loads((tmp_path / "eval" / "result.json").read_text())["objective"] == "spread"
+
+    def test_eval_parses_the_checkpoint_config_once(self, synth_dir, tmp_path, monkeypatch):
+        path = tmp_path / "m.jckp"
+        save_small_checkpoint(path)
+        parsed = []
+        from_dict = TrainConfig.from_dict
+        monkeypatch.setattr(TrainConfig, "from_dict", classmethod(lambda cls, d: parsed.append(d) or from_dict(d)))
+        args = ["eval", "--checkpoint", path, "--manifest", synth_dir / "manifest.json",
+                "--out-dir", tmp_path / "eval"]
+        assert run_cli(args) == 0
+        assert len(parsed) == 1
 
     @pytest.mark.parametrize("flag, value", [
         ("--patience", "0"), ("--patience", "-3"), ("--lr0", "-1"), ("--lr0", "nan"),
@@ -536,9 +545,7 @@ class TestSurface:
             validate_every=1,
             seeds=(7,),
         )
-        vision = Autoencoder(cfg.ae_cfg_vision, RngStream(0))
-        language = Autoencoder(cfg.ae_cfg_language, RngStream(1))
-        save_jam(tmp_path / "m.jckp", TrainedJAM(vision, language, 2.0), cfg, 7)
+        save_jam(tmp_path / "m.jckp", TrainedJAM(cfg, RngStream(0), RngStream(1)), cfg, 7)
         ae = {"dropout": 0.1, "hidden_dims": [4], "latent_dim": 3}
         assert load_checkpoint(tmp_path / "m.jckp")[1] == {
             "format_version": 1,

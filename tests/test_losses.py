@@ -15,7 +15,7 @@ from jam.losses import (
     lambda_schedule,
     mse_recon,
 )
-from jam.nnet import Autoencoder, AutoencoderConfig
+from jam.nnet import AutoencoderConfig
 from jam.numkit import RngStream
 from jam.trainer import TrainConfig, TrainedJAM, train_step
 
@@ -27,7 +27,8 @@ LOG_SCALE0 = math.log(1.0 / SIM.tau)  # where a learnable scale starts
 def loss_value(objective, zv, zlp, zln=None, alpha=0.0, sim=SIM, log_scale=None,
                include_positive=False, part=None):
     """`alignment_grads`' value, or its named ``part``."""
-    out = alignment_grads(objective, zv, zlp, zln, alpha, sim, log_scale, include_positive)
+    loss_cfg = LossConfig(objective, alpha, include_positive_in_denominator=include_positive)
+    out = alignment_grads(zv, zlp, zln, loss_cfg, sim, log_scale)
     return out[0] if part is None else out[5][part]
 
 
@@ -249,20 +250,20 @@ class TestSpread:
             loss_value("spread", zv, zlp, zln, alpha=1.5)
 
     @pytest.mark.parametrize("objective", ["con", "negcon", "spread"])
-    def test_alignment_grads_rejects_alpha_out_of_range(self, objective):
-        zv, zlp, zln = batch(16)
+    def test_config_rejects_alpha_out_of_range(self, objective):
+        # `alignment_grads` reads alpha from a LossConfig, which checks it for every objective
         for alpha in (-0.1, float("nan")):
-            with pytest.raises(InvalidInput):
-                alignment_grads(objective, zv, zlp, zln, alpha, SIM)
+            with pytest.raises(InvalidInput, match="alpha must be in"):
+                LossConfig(objective, alpha)
 
     @pytest.mark.parametrize("objective", ["con", "negcon", "spread"])
     def test_alignment_grads_rejects_mismatched_text_rows(self, objective):
         zv, zlp, zln = batch(17)
         with pytest.raises(InvalidInput):
-            alignment_grads(objective, zv, zlp[:-1], zln, 0.5, SIM)
+            alignment_grads(zv, zlp[:-1], zln, LossConfig(objective), SIM)
         if objective != "con":  # con never reads zln
             with pytest.raises(InvalidInput):
-                alignment_grads(objective, zv, zlp, zln[:-1], 0.5, SIM)
+                alignment_grads(zv, zlp, zln[:-1], LossConfig(objective), SIM)
 
 
 class TestTemporaries:
@@ -272,7 +273,7 @@ class TestTemporaries:
         zv, zlp, zln = batch(3, n=n, d=16)
         tracemalloc.start()
         try:
-            alignment_grads(objective, zv, zlp, zln, 0.5, SIM, 2.5)
+            alignment_grads(zv, zlp, zln, LossConfig(objective), SIM, 2.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -313,25 +314,23 @@ def step_problem(objective="spread", alpha=0.5, seed=19):
         ae_cfg_language=AutoencoderConfig(7, [4], 3, dropout=0.0),
         loss_cfg=LossConfig(objective=objective, alpha=alpha),
     )
-    vision = Autoencoder(cfg.ae_cfg_vision, RngStream(seed))
-    language = Autoencoder(cfg.ae_cfg_language, RngStream(seed + 1))
-    model = TrainedJAM(vision, language, LOG_SCALE0)
+    model = TrainedJAM(cfg, RngStream(seed), RngStream(seed + 1))
     r = RngStream(seed + 2)
-    return cfg, model, r.gaussian(6, 5), r.gaussian(6, 7), r.gaussian(6, 7)
+    return model, r.gaussian(6, 5), r.gaussian(6, 7), r.gaussian(6, 7)
 
 
 class TestTotalObjective:
     """The total objective as `trainer.train_step`, the code that trains, assembles it."""
 
     def test_lambda_zero_pure_alignment(self):
-        cfg, model, xv, xlp, xln = step_problem(seed=19)
-        total, _, parts = train_step(model, xv, xlp, xln, 0.0, 0.5, cfg, RngStream(0))
+        model, xv, xlp, xln = step_problem(seed=19)
+        total, _, parts = train_step(model, xv, xlp, xln, 0.0, RngStream(0))
         assert abs(total - parts["align"]) < 1e-12
 
     def test_breakdown_composition(self):
-        cfg, model, xv, xlp, xln = step_problem(seed=21)
-        lam = lambda_schedule(3, 10, cfg.loss_cfg)
-        total, _, parts = train_step(model, xv, xlp, xln, lam, 0.5, cfg, RngStream(0))
+        model, xv, xlp, xln = step_problem(seed=21)
+        lam = lambda_schedule(3, 10, model.cfg.loss_cfg)
+        total, _, parts = train_step(model, xv, xlp, xln, lam, RngStream(0))
         assert abs(total - (lam * (parts["recon_v"] + parts["recon_l"]) + parts["align"])) < 1e-12
         # with dropout 0 the train-mode forward is the eval-mode forward
         language = model.language_ae
@@ -345,8 +344,8 @@ class TestTotalObjective:
 
     def test_all_objectives_run(self):
         for objective in ("con", "negcon", "spread"):
-            cfg, model, xv, xlp, xln = step_problem(objective, seed=23)
-            total, grad, _ = train_step(model, xv, xlp, xln, 1.0, 0.5, cfg, RngStream(0))
+            model, xv, xlp, xln = step_problem(objective, seed=23)
+            total, grad, _ = train_step(model, xv, xlp, xln, 1.0, RngStream(0))
             assert math.isfinite(total)
             assert grad.shape == model.params.vector.shape and list(model.params)[-1] == "logit_scale"
 
@@ -359,11 +358,12 @@ class TestGradients:
             pytest.skip("alpha only affects spread")
         zv, zlp, zln = batch(25)
         ls = LOG_SCALE0
+        loss_cfg = LossConfig(objective, alpha)
 
         def value():
-            return alignment_grads(objective, zv, zlp, zln, alpha, SIM, ls)[0]
+            return alignment_grads(zv, zlp, zln, loss_cfg, SIM, ls)[0]
 
-        _, d_zv, d_zlp, d_zln, d_ls, _ = alignment_grads(objective, zv, zlp, zln, alpha, SIM, ls)
+        _, d_zv, d_zlp, d_zln, d_ls, _ = alignment_grads(zv, zlp, zln, loss_cfg, SIM, ls)
         h = 1e-6
         worst = 0.0
         for arr, grad in ((zv, d_zv), (zlp, d_zlp), (zln, d_zln)):
@@ -382,16 +382,17 @@ class TestGradients:
     def test_log_scale_grad_matches_fd(self):
         zv, zlp, zln = batch(26)
         ls = LOG_SCALE0
-        _, _, _, _, d_ls, _ = alignment_grads("spread", zv, zlp, zln, 0.5, SIM, ls)
+        spread = LossConfig("spread", 0.5)
+        _, _, _, _, d_ls, _ = alignment_grads(zv, zlp, zln, spread, SIM, ls)
         h = 1e-6
-        up = alignment_grads("spread", zv, zlp, zln, 0.5, SIM, ls + h)[0]
-        down = alignment_grads("spread", zv, zlp, zln, 0.5, SIM, ls - h)[0]
+        up = alignment_grads(zv, zlp, zln, spread, SIM, ls + h)[0]
+        down = alignment_grads(zv, zlp, zln, spread, SIM, ls - h)[0]
         fd = (up - down) / (2 * h)
         assert abs(d_ls - fd) / max(1e-8, abs(d_ls) + abs(fd)) < 1e-6
 
     def test_fixed_mode_no_scale_grad(self):
         zv, zlp, zln = batch(27)
-        _, _, _, _, d_ls, _ = alignment_grads("con", zv, zlp, zln, 0.5, FIXED, None)
+        _, _, _, _, d_ls, _ = alignment_grads(zv, zlp, zln, LossConfig("con"), FIXED, None)
         assert d_ls == 0.0
 
 

@@ -140,17 +140,15 @@ class TestTrain:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
     def test_nonfinite_step_runs_no_backward(self, tiny_data, monkeypatch):
         tr, _, _ = tiny_data
-        cfg = tiny_cfg()
-        language = Autoencoder(cfg.ae_cfg_language, RngStream(2))
-        model = TrainedJAM(Autoencoder(cfg.ae_cfg_vision, RngStream(1)), language)
-        language.parameters()["dec.out.b"][:] = 1e300  # reconstruction error overflows
+        model = TrainedJAM(tiny_cfg(), RngStream(1), RngStream(2))
+        model.params["l.dec.out.b"][:] = 1e300  # reconstruction error overflows
 
         def no_backward(*args, **kwargs):
             raise AssertionError("backward ran on a non-finite total")
 
         monkeypatch.setattr(Autoencoder, "backward", no_backward)
         total, grads, parts = train_step(
-            model, tr.images[:8], tr.positives[:8], tr.negatives[:8], 1.0, 0.5, cfg, RngStream(3),
+            model, tr.images[:8], tr.positives[:8], tr.negatives[:8], 1.0, RngStream(3),
         )
         assert grads is None
         assert not math.isfinite(total)
@@ -203,20 +201,20 @@ class TestTrain:
 
 
 class TestFlatLayout:
-    @staticmethod
-    def _pair(cfg):
-        return Autoencoder(cfg.ae_cfg_vision, RngStream(1)), Autoencoder(cfg.ae_cfg_language, RngStream(2))
-
     def test_joint_params_are_views_of_one_vector(self, tiny_data):
         tr, _, _ = tiny_data
-        vision, language = self._pair(tiny_cfg())
-        named = {f"v.{name}": arr.copy() for name, arr in vision.parameters().items()}
-        named.update((f"l.{name}", arr.copy()) for name, arr in language.parameters().items())
-        named["logit_scale"] = np.array([0.5])
-        model = TrainedJAM(vision, language, 0.5)
+        cfg = tiny_cfg()
+        # drawn from the streams the model draws its own autoencoders from
+        vision = Autoencoder(cfg.ae_cfg_vision, RngStream(1))
+        language = Autoencoder(cfg.ae_cfg_language, RngStream(2))
+        named = {f"v.{name}": arr for name, arr in vision.parameters().items()}
+        named.update((f"l.{name}", arr) for name, arr in language.parameters().items())
+        named["logit_scale"] = np.array([math.log(1.0 / cfg.sim_cfg.tau)])
+        model = TrainedJAM(cfg, RngStream(1), RngStream(2))
+        vision, language = model.vision_ae, model.language_ae
         params = model.params
         assert list(params) == list(named) and list(params)[-1] == "logit_scale"
-        assert model.log_scale == 0.5
+        assert model.log_scale == math.log(1.0 / cfg.sim_cfg.tau)
         assert sum(view.size for view in params.values()) == params.vector.size
         for name, view in params.items():
             assert view.base is params.vector and view.tobytes() == named[name].tobytes()
@@ -230,14 +228,16 @@ class TestFlatLayout:
         params["logit_scale"][0] = 1.5
         assert model.log_scale == 1.5
 
-    @pytest.mark.parametrize("log_scale", [0.5, None])
-    def test_spans_tile_the_vector(self, log_scale):
-        vision, language = self._pair(tiny_cfg())
-        model = TrainedJAM(vision, language, log_scale)
+    @pytest.mark.parametrize("mode", ["learnable", "fixed"])
+    def test_spans_tile_the_vector(self, mode):
+        cfg = tiny_cfg(sim_cfg=SimilarityConfig(tau=0.2, logit_scale_mode=mode))
+        model = TrainedJAM(cfg, RngStream(1), RngStream(2))
+        vision, language = model.vision_ae, model.language_ae
         params, size = model.params, model.params.vector.size
         v, l = model.vision_span, model.language_span
+        learnable = mode == "learnable"
         # vision, then language, then the scale when it is learnable
-        assert v.start == 0 and v.stop == l.start and l.stop == size - (log_scale is not None)
+        assert v.start == 0 and v.stop == l.start and l.stop == size - learnable
         assert v.stop == sum(arr.size for arr in vision.parameters().values())
         assert l.stop - l.start == sum(arr.size for arr in language.parameters().values())
         for ae, prefix, span in ((vision, "v.", v), (language, "l.", l)):
@@ -246,16 +246,16 @@ class TestFlatLayout:
                 assert arr is view  # the layer holds the very view in params
                 start = (view.__array_interface__["data"][0] - params.vector.ctypes.data) // 8
                 assert span.start <= start and start + view.size <= span.stop
-        assert ("logit_scale" in params) == (log_scale is not None)
+        assert ("logit_scale" in params) == learnable
+        assert model.log_scale == (math.log(1.0 / 0.2) if learnable else None)
 
     @pytest.mark.parametrize("objective", ["con", "negcon", "spread"])
     def test_train_step_writes_every_gradient(self, tiny_data, objective):
         tr, _, _ = tiny_data
-        cfg = tiny_cfg(objective)
-        model = TrainedJAM(*self._pair(cfg), math.log(1.0 / cfg.sim_cfg.tau))
+        model = TrainedJAM(tiny_cfg(objective), RngStream(1), RngStream(2))
         grad = np.full_like(model.params.vector, np.nan)
         total, out, _ = train_step(
-            model, tr.images[:8], tr.positives[:8], tr.negatives[:8], 1.0, 0.5, cfg, RngStream(3), grad,
+            model, tr.images[:8], tr.positives[:8], tr.negatives[:8], 1.0, RngStream(3), grad,
         )
         # the gradient vector started as NaN: every element was written
         assert math.isfinite(total) and out is grad and np.isfinite(grad).all()
@@ -379,8 +379,7 @@ class TestCheckpointRoundTrip:
     @pytest.mark.parametrize("mode", ["learnable", "fixed"])
     def test_logit_scale_tensor_required_exactly_when_learnable(self, tmp_path, mode):
         cfg = tiny_cfg(sim_cfg=SimilarityConfig(logit_scale_mode=mode))
-        pair = Autoencoder(cfg.ae_cfg_vision, RngStream(1)), Autoencoder(cfg.ae_cfg_language, RngStream(2))
-        save_jam(tmp_path / "model.jckp", TrainedJAM(*pair, 2.0 if mode == "learnable" else None), cfg, 5)
+        save_jam(tmp_path / "model.jckp", TrainedJAM(cfg, RngStream(1), RngStream(2)), cfg, 5)
         tensors, meta = load_checkpoint(tmp_path / "model.jckp")
         assert ("logit_scale" in tensors) == (mode == "learnable")
         if mode == "learnable":
