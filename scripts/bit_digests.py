@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Print one SHA-256 per alignment objective over `losses.alignment_grads`'
 outputs on a seeded batch, one per objective over one `trainer.train_step`,
-then what each benchmark workload trained: the SHA-256 of the trained
+one over the latents of the two preset autoencoders, then what each
+benchmark workload trained: the SHA-256 of the trained
 parameter vector's bytes, of the checkpoint file (parameters plus config
 metadata), of the per-epoch history and of the alignment report's scores and
 errors (each as sorted-key JSON), the stop reason and the held-out recalls
@@ -21,7 +22,12 @@ summation block, so a reordered row sum shows. con runs with and without
 ``zln``. Each gradient digest covers the total, the parts and the whole
 gradient vector of one step of two small autoencoders (dropout on, a
 learnable logit scale) on a seeded 32-row batch, so a change to backward
-shows in seconds. The workloads and their sizes are
+shows in seconds. The encode digest covers `encode_vision` and
+`encode_language` of a seeded preset model on seeded 2001-row inputs (seven
+full 256-row blocks and a tail), so it must read the same whether
+`Autoencoder.encode` runs its blocks on helper threads
+(``OPENBLAS_NUM_THREADS=1`` on a multi-core host) or serially (``=2``).
+The workloads and their sizes are
 ``perfbench/workloads.WORKLOADS``; their files go to a temporary directory.
 """
 
@@ -40,7 +46,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402
 import workloads  # noqa: E402
-from jam import losses, trainer  # noqa: E402
+from jam import losses, presets, trainer  # noqa: E402
 from jam.nnet import AutoencoderConfig  # noqa: E402
 from jam.numkit import RngStream  # noqa: E402
 
@@ -83,6 +89,16 @@ def gradient_digests(seed):
         print(f"gradient {objective}: sha256={digest.hexdigest()}", flush=True)
 
 
+def encode_digest(seed):
+    cfg = presets.benchmark_train_config("spread")
+    model = trainer.TrainedJAM(cfg, RngStream(seed + 1), RngStream(seed + 2))
+    r = RngStream(seed)
+    xv, xl = r.gaussian(2001, cfg.ae_cfg_vision.input_dim), r.gaussian(2001, cfg.ae_cfg_language.input_dim)
+    digest = hashlib.sha256(model.encode_vision(xv).tobytes())
+    digest.update(model.encode_language(xl).tobytes())
+    print(f"encode: sha256={digest.hexdigest()}", flush=True)
+
+
 def json_sha256(value):
     return hashlib.sha256(json.dumps(value, sort_keys=True).encode("utf-8")).hexdigest()
 
@@ -93,6 +109,7 @@ def main():
     args = parser.parse_args()
     loss_digests(args.seed)
     gradient_digests(args.seed)
+    encode_digest(args.seed)
     for name, workload in workloads.WORKLOADS.items():
         with tempfile.TemporaryDirectory() as workdir:
             pipeline = workload()

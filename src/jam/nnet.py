@@ -19,26 +19,46 @@ gradient has the same layout, and backward fills it front to back. The
 optimizer is AdamW with decoupled weight decay over that vector, paired
 with a cosine learning-rate schedule and global-norm gradient clipping that
 sums squares tensor by tensor in vector order.
+
+`Autoencoder.encode` runs the encoder alone over row blocks, on helper
+threads beside the caller when numpy's OpenBLAS runs one thread and leaves
+cores idle; a multi-threaded or unreadable BLAS keeps the serial loop, since
+both kinds of thread would compete for the same cores. Every block runs the
+same float operations either way, so the latents' bits are the same.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidInput, NonFiniteGradient, UsageError
-from .numkit import Matrix, RngStream
+from .numkit import Matrix, RngStream, blas_threads
 
 
-# Most rows `Autoencoder.encode` runs through the encoder at once. At 256
-# rows a 128-wide float64 activation is 256 KB, so the few that are live at
-# once stay in a core's L2 cache; at 1024 rows (1 MB each) they spilled, and
-# each elementwise pass ran about half as fast per element.
+# Most rows `Autoencoder.encode` runs through the encoder at once, and the
+# unit of work its threads share. At 256 rows a 128-wide float64 activation
+# is 256 KB, so the few that are live at once stay in a core's L2 cache; at
+# 1024 rows (1 MB each) they spilled, and each elementwise pass ran about
+# half as fast per element. A thread that takes a block late holds the
+# result back by one block's time, about 3 ms at the preset widths.
 _ENCODE_BLOCK_ROWS = 256
+
+
+def _encode_workers() -> int:
+    """Threads `Autoencoder.encode` may run blocks on: the cores this process
+    may use over the threads numpy's OpenBLAS runs each product on, so the
+    two never compete for a core; 1 when the BLAS count cannot be read."""
+    threads = blas_threads()
+    if threads is None or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return max(1, len(os.sched_getaffinity(0)) // threads)
 
 
 def _glorot(rng: RngStream, d_in: int, d_out: int) -> Matrix:
@@ -317,14 +337,37 @@ class Autoencoder:
         """Latent Z of x: the encoder layers in eval mode, with no decoder
         pass and no tape, over blocks of at most ``_ENCODE_BLOCK_ROWS`` rows
         so the activations of a large input never sit in memory at once.
-        Equal to ``forward(x, "eval")[0]`` up to BLAS rounding."""
+        Equal to ``forward(x, "eval")[0]`` up to BLAS rounding.
+
+        The caller and ``workers - 1`` helper threads (`_encode_workers`, at
+        most one per block) take block starts from one shared iterator and
+        write into one output array, so a thread that gets no CPU delays the
+        result by one block at most. With one worker no thread is started;
+        helpers are joined before `encode` returns, also when a block raises."""
         x = self._checked_input(x)
-        # at least one block, so a 0-row input still gives a (0, latent) array
-        blocks = [
-            self._encode_block(x[start : start + _ENCODE_BLOCK_ROWS])
-            for start in range(0, max(len(x), 1), _ENCODE_BLOCK_ROWS)
-        ]
-        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        z = np.empty((len(x), self.cfg.latent_dim))
+        starts = range(0, len(x), _ENCODE_BLOCK_ROWS)
+        pending = iter(starts)  # a range iterator's next() is atomic under the GIL
+
+        def run():
+            try:
+                for start in pending:
+                    z[start : start + _ENCODE_BLOCK_ROWS] = self._encode_block(
+                        x[start : start + _ENCODE_BLOCK_ROWS])
+            finally:
+                for _ in pending:  # after an error, leave the other threads no block
+                    pass
+
+        workers = min(_encode_workers(), len(starts))
+        if workers <= 1:
+            run()
+            return z
+        with ThreadPoolExecutor(workers - 1) as pool:
+            helpers = [pool.submit(run) for _ in range(workers - 1)]
+            run()
+            for helper in helpers:
+                helper.result()
+        return z
 
     def _encode_block(self, h: Matrix) -> Matrix:
         for layer in self.enc_layers:

@@ -9,6 +9,10 @@ independent streams never perturb each other regardless of call interleaving.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+from pathlib import Path
+
 import numpy as np
 import scipy.linalg
 
@@ -31,6 +35,33 @@ def as_matrix(a, name: str = "matrix") -> Matrix:
     if not all(np.isfinite(m[i : i + rows]).all() for i in range(0, m.shape[0], rows)):
         raise InvalidInput(f"{name} contains non-finite values")
     return m
+
+
+@functools.cache
+def _openblas_get_num_threads():
+    """numpy's bundled OpenBLAS ``get_num_threads`` as a ctypes function,
+    or None when numpy ships no OpenBLAS that exports one."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*.so*"))
+    if not libs:
+        return None
+    try:
+        lib = ctypes.CDLL(str(libs[0]))  # the copy numpy has loaded already
+    except OSError:
+        return None
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            fn = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_int
+                return fn
+    return None
+
+
+def blas_threads() -> int | None:
+    """Threads numpy's OpenBLAS runs a product on, as it reports them now;
+    None when numpy's BLAS is not an OpenBLAS whose count can be read."""
+    fn = _openblas_get_num_threads()
+    return None if fn is None else int(fn())
 
 
 def unit_rows(x) -> Matrix:

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import losses
 from .embed_io import PairedDataset, split_dataset
-from .errors import InvalidInput, NonFiniteLoss
+from .errors import InvalidInput, NonFiniteLoss, UsageError
 from .evalkit import RetrievalResult, recall_binary, recall_5way
 from .losses import LossConfig, SimilarityConfig
 from .nnet import (
@@ -441,13 +441,16 @@ def train_on_split(full_ds: PairedDataset, cfg: TrainConfig, seed: int):
 
 
 def save_jam(path, model: TrainedJAM, cfg: TrainConfig, seed: int):
-    """Persist a trained model: parameters and config echo (``cfg``, the
-    config the model was built from).
+    """Persist a trained model: parameters and config echo (``model.cfg``,
+    the config the model was built from). ``cfg`` must equal it: a
+    checkpoint that named another config would load as another model.
 
     The optimizer state is not written; checkpoints that hold it (``opt.*``
     tensors) still load, since ``load_jam`` reads only the parameters."""
+    if cfg != model.cfg:
+        raise UsageError("save_jam: cfg differs from the config the model was built from")
     meta = {
-        "train_config": asdict(cfg),
+        "train_config": asdict(model.cfg),
         "seed": int(seed),
         "format_version": 1,
     }

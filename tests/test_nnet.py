@@ -1,5 +1,9 @@
 import math
+import multiprocessing
+import sys
+import threading
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -307,6 +311,158 @@ class TestAutoencoder:
         grads["enc.latent.w"] += 0.05  # sabotage
         err = grad_check(ae.parameters(), loss_only, grads, num_samples=400, rng=RngStream(1))
         assert err > 1e-2
+
+
+PRESET_AES = ["ae_cfg_vision", "ae_cfg_language"]
+
+
+def preset_ae(which):
+    cfg = getattr(presets.benchmark_train_config("spread"), which)
+    return Autoencoder(cfg, RngStream(21))
+
+
+def serial_blocks(ae, x):
+    """The latents of `_encode_block` run over each block in order."""
+    b = nnet._ENCODE_BLOCK_ROWS
+    blocks = [ae._encode_block(x[i : i + b]) for i in range(0, len(x), b)]
+    return np.concatenate(blocks) if blocks else np.empty((0, ae.cfg.latent_dim))
+
+
+def watch_first_layer(monkeypatch, ae, fail=lambda caller: False):
+    """Wrap ``ae``'s first encoder layer: record the thread that runs each
+    block, hold each block until a second thread has taken one (so two
+    threads run blocks even on one core), and raise on a block whose thread
+    ``fail`` accepts (told whether it is the caller's). Returns the list of
+    thread idents, one per block run."""
+    first, caller = ae.enc_layers[0], threading.get_ident()
+    idents, second = [], threading.Event()
+
+    def watched_forward(h, train, rng):
+        idents.append(threading.get_ident())
+        if len(set(idents)) > 1:
+            second.set()
+        assert second.wait(timeout=30), "no second thread took a block"
+        if fail(threading.get_ident() == caller):
+            raise RuntimeError("block failed")
+        return type(first).forward(first, h, train, rng)
+
+    monkeypatch.setattr(first, "forward", watched_forward)
+    return idents
+
+
+def encode_in_child(ae, x):
+    """A threaded encode in a forked child: the latents' bytes and the
+    number of threads that ran blocks there."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        idents = watch_first_layer(monkeypatch, ae)
+        return ae.encode(x).tobytes(), len(set(idents))
+
+
+class TestThreadedEncode:
+    """`encode` with helper threads, forced by patching the worker count, so
+    it runs on one core and under any BLAS thread count."""
+
+    @pytest.fixture
+    def two_workers(self, monkeypatch):
+        monkeypatch.setattr(nnet, "_encode_workers", lambda: 2)
+
+    @pytest.fixture
+    def no_thread_start(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError("encode started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+
+    @pytest.mark.parametrize("rows", [0, 1, 255, 256, 257, 2001])
+    @pytest.mark.parametrize("which", PRESET_AES)
+    def test_bits_equal_the_serial_blocks(self, which, rows, two_workers):
+        ae = preset_ae(which)
+        x = RngStream(22).gaussian(rows, ae.cfg.input_dim)
+        z = ae.encode(x)
+        want = serial_blocks(ae, x)
+        assert z.shape == want.shape == (rows, ae.cfg.latent_dim)
+        assert z.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("which", PRESET_AES)
+    def test_more_than_one_thread_runs_blocks(self, which, two_workers, monkeypatch):
+        ae = preset_ae(which)
+        x = RngStream(23).gaussian(2001, ae.cfg.input_dim)
+        want = serial_blocks(ae, x)
+        idents = watch_first_layer(monkeypatch, ae)
+        assert ae.encode(x).tobytes() == want.tobytes()
+        assert len(idents) == 8 and len(set(idents)) == 2
+
+    @pytest.mark.parametrize(
+        "cores, threads, workers",
+        [({0, 1}, 1, 2), ({0, 1}, 2, 1), ({0, 1, 2, 3}, 2, 2), ({0}, 1, 1), ({0, 1}, None, 1)],
+    )
+    def test_worker_rule(self, cores, threads, workers, monkeypatch):
+        monkeypatch.setattr(nnet.os, "sched_getaffinity", lambda pid: cores, raising=False)
+        monkeypatch.setattr(nnet, "blas_threads", lambda: threads)
+        assert nnet._encode_workers() == workers
+
+    def test_one_block_starts_no_thread(self, two_workers, no_thread_start):
+        ae = preset_ae("ae_cfg_vision")
+        x = RngStream(24).gaussian(nnet._ENCODE_BLOCK_ROWS, ae.cfg.input_dim)
+        assert ae.encode(x).tobytes() == serial_blocks(ae, x).tobytes()
+
+    @pytest.mark.parametrize("threads", [2, None], ids=["multithreaded-blas", "unknown-blas"])
+    def test_serial_unless_the_blas_runs_one_thread(self, threads, no_thread_start, monkeypatch):
+        monkeypatch.setattr(nnet.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(nnet, "blas_threads", lambda: threads)
+        ae = preset_ae("ae_cfg_language")
+        x = RngStream(25).gaussian(2001, ae.cfg.input_dim)
+        assert ae.encode(x).tobytes() == serial_blocks(ae, x).tobytes()
+
+    def test_each_block_runs_once_under_stress(self, monkeypatch):
+        # more threads than cores, small blocks and a short switch interval:
+        # a block taken twice or skipped shows in the row count or the bits
+        monkeypatch.setattr(nnet, "_encode_workers", lambda: 8)
+        monkeypatch.setattr(nnet, "_ENCODE_BLOCK_ROWS", 16)
+        ae = preset_ae("ae_cfg_language")
+        x = RngStream(29).gaussian(2001, ae.cfg.input_dim)
+        want = serial_blocks(ae, x)
+        first, rows = ae.enc_layers[0], []
+
+        def counting_forward(h, train, rng):
+            rows.append(len(h))
+            return type(first).forward(first, h, train, rng)
+
+        monkeypatch.setattr(first, "forward", counting_forward)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            z = ae.encode(x)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sum(rows) == 2001 and len(rows) == 126
+        assert z.tobytes() == want.tobytes()
+
+    def test_helpers_are_joined(self, two_workers):
+        ae = preset_ae("ae_cfg_vision")
+        before = threading.active_count()
+        ae.encode(RngStream(26).gaussian(2001, ae.cfg.input_dim))
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("on_caller", [True, False], ids=["caller", "helper"])
+    def test_a_block_error_reaches_the_caller(self, on_caller, two_workers, monkeypatch):
+        ae = preset_ae("ae_cfg_vision")
+        x = RngStream(27).gaussian(2001, ae.cfg.input_dim)
+        idents = watch_first_layer(monkeypatch, ae, fail=lambda caller: caller == on_caller)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="block failed"):
+            ae.encode(x)
+        assert threading.active_count() == before
+        assert len(idents) < 8  # the other thread took no more blocks after the error
+
+    def test_forked_child_encodes_the_same_bits(self, two_workers):
+        ae = preset_ae("ae_cfg_language")
+        x = RngStream(28).gaussian(2001, ae.cfg.input_dim)
+        z = ae.encode(x)
+        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
+            child_bytes, child_threads = pool.submit(encode_in_child, ae, x).result()
+        assert child_bytes == z.tobytes()
+        assert child_threads == 2
 
 
 def _sigmoid_two_branch(a):

@@ -1,11 +1,16 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jam
 from jam.errors import InvalidInput
-from jam.numkit import RngStream, as_matrix, center_columns, check_symmetric, svd, sym_eig
+from jam.numkit import RngStream, as_matrix, blas_threads, center_columns, check_symmetric, svd, sym_eig
 
 
 class TestAsMatrix:
@@ -265,3 +270,17 @@ class TestRngStream:
         assert np.all(draws[:, 2] == 0)
         np.testing.assert_array_equal(draws, RngStream(3).integers(high, (4000, 3)))
         assert not np.array_equal(draws, RngStream(4).integers(high, (4000, 3)))
+
+
+class TestBlasThreads:
+    @pytest.mark.skipif(blas_threads() is None, reason="numpy's BLAS is not an OpenBLAS that reports a thread count")
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_reports_openblas_setting(self, threads):
+        # OpenBLAS reads its setting once, when numpy loads it: a fresh process
+        src = os.path.dirname(os.path.dirname(jam.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", "from jam.numkit import blas_threads; print(blas_threads())"],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == str(threads)

@@ -1,12 +1,12 @@
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from jam.embed_io import SynthConfig, split_dataset, synth_generate
-from jam.errors import InvalidInput, NonFiniteLoss
+from jam.errors import InvalidInput, NonFiniteLoss, UsageError
 from jam.losses import LossConfig, SimilarityConfig
 from jam.nnet import Autoencoder, AutoencoderConfig, load_checkpoint, save_checkpoint
 from jam.numkit import RngStream
@@ -359,6 +359,24 @@ class TestCheckpointRoundTrip:
         assert all(got[k].tobytes() == want[k].tobytes() for k in want)
         save_jam(tmp_path / "b.jckp", loaded, cfg, seed=5)
         assert (tmp_path / "a.jckp").read_bytes() == (tmp_path / "b.jckp").read_bytes()
+
+    def test_save_rejects_a_config_the_model_was_not_built_from(self, tmp_path):
+        cfg = tiny_cfg("spread")
+        model = TrainedJAM(cfg, RngStream(1), RngStream(2))
+        with pytest.raises(UsageError, match="cfg differs"):
+            save_jam(tmp_path / "model.jckp", model, replace(cfg, loss_cfg=LossConfig("con")), 5)
+        assert not (tmp_path / "model.jckp").exists()
+
+    def test_save_writes_the_models_config(self, tmp_path):
+        # the layout save_jam has always written: the model's parameters and
+        # the config echo, seed and format version as metadata
+        cfg = tiny_cfg("spread")
+        model = TrainedJAM(cfg, RngStream(1), RngStream(2))
+        save_jam(tmp_path / "model.jckp", model, model.cfg, 5)
+        meta = {"train_config": asdict(cfg), "seed": 5, "format_version": 1}
+        save_checkpoint(tmp_path / "expected.jckp", model.params, meta)
+        assert (tmp_path / "model.jckp").read_bytes() == (tmp_path / "expected.jckp").read_bytes()
+        assert load_jam(tmp_path / "model.jckp")[0].cfg == cfg
 
     def test_checkpoint_names_must_match_model(self, tiny_data, tmp_path):
         tr, va, _ = tiny_data
