@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Print one SHA-256 per alignment objective over `losses.alignment_grads`'
 outputs on a seeded batch, one per objective over one `trainer.train_step`,
-one over the latents of the two preset autoencoders, then what each
+one over a 300-row preset step, one over the latents of the two preset
+autoencoders, then what each
 benchmark workload trained: the SHA-256 of the trained
 parameter vector's bytes, of the checkpoint file (parameters plus config
 metadata), of the per-epoch history and of the alignment report's scores and
@@ -22,8 +23,12 @@ summation block, so a reordered row sum shows. con runs with and without
 ``zln``. Each gradient digest covers the total, the parts and the whole
 gradient vector of one step of two small autoencoders (dropout on, a
 learnable logit scale) on a seeded 32-row batch, so a change to backward
-shows in seconds. The encode digest covers `encode_vision` and
-`encode_language` of a seeded preset model on seeded 2001-row inputs (seven
+shows in seconds. The step digest covers the same of one step of the
+preset model (dropout 0.1) on a seeded 300-row batch, past the batch size
+from which `trainer.train_step` runs its vision pass on a helper thread; the
+step runs twice, with the worker rule set to 1 (serial) and to 2 (a helper
+thread), and the script stops if the two differ. The encode digest covers
+`encode_vision` and `encode_language` of a seeded preset model on seeded 2001-row inputs (seven
 full 256-row blocks and a tail), so it must read the same whether
 `Autoencoder.encode` runs its blocks on helper threads
 (``OPENBLAS_NUM_THREADS=1`` on a multi-core host) or serially (``=2``).
@@ -46,7 +51,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402
 import workloads  # noqa: E402
-from jam import losses, presets, trainer  # noqa: E402
+from jam import losses, nnet, presets, trainer  # noqa: E402
 from jam.nnet import AutoencoderConfig  # noqa: E402
 from jam.numkit import RngStream  # noqa: E402
 
@@ -89,6 +94,29 @@ def gradient_digests(seed):
         print(f"gradient {objective}: sha256={digest.hexdigest()}", flush=True)
 
 
+def step_digest(seed):
+    cfg = presets.benchmark_train_config("spread")
+    model = trainer.TrainedJAM(cfg, RngStream(seed + 1), RngStream(seed + 2))
+    r = RngStream(seed)
+    rows = 300  # past the batch from which the vision pass may run on a helper thread
+    xv = r.gaussian(rows, cfg.ae_cfg_vision.input_dim)
+    d_l = cfg.ae_cfg_language.input_dim
+    xlp, xln = r.gaussian(rows, d_l), r.gaussian(rows, d_l)
+    rule, digests = nnet.parallel_workers, []
+    try:
+        for workers in (1, 2):  # the serial step, then the one with a helper thread
+            nnet.parallel_workers = lambda: workers
+            total, grad, parts = trainer.train_step(model, xv, xlp, xln, 0.5, RngStream(seed + 3))
+            digest = hashlib.sha256(repr((total, parts)).encode("utf-8"))
+            digest.update(grad.tobytes())
+            digests.append(digest.hexdigest())
+    finally:
+        nnet.parallel_workers = rule
+    if digests[0] != digests[1]:
+        sys.exit(f"step: the serial step read sha256={digests[0]}, the threaded one sha256={digests[1]}")
+    print(f"step: sha256={digests[0]}", flush=True)
+
+
 def encode_digest(seed):
     cfg = presets.benchmark_train_config("spread")
     model = trainer.TrainedJAM(cfg, RngStream(seed + 1), RngStream(seed + 2))
@@ -109,6 +137,7 @@ def main():
     args = parser.parse_args()
     loss_digests(args.seed)
     gradient_digests(args.seed)
+    step_digest(args.seed)
     encode_digest(args.seed)
     for name, workload in workloads.WORKLOADS.items():
         with tempfile.TemporaryDirectory() as workdir:

@@ -20,11 +20,20 @@ optimizer is AdamW with decoupled weight decay over that vector, paired
 with a cosine learning-rate schedule and global-norm gradient clipping that
 sums squares tensor by tensor in vector order.
 
-`Autoencoder.encode` runs the encoder alone over row blocks, on helper
-threads beside the caller when numpy's OpenBLAS runs one thread and leaves
-cores idle; a multi-threaded or unreadable BLAS keeps the serial loop, since
-both kinds of thread would compete for the same cores. Every block runs the
-same float operations either way, so the latents' bits are the same.
+Each dropout layer of a train-mode pass calls ``rng.uniform(shape)``, in
+forward order, and turns the uniforms into its mask in place. ``rng`` is an
+`RngStream` or `Autoencoder.draw_dropout`'s `Predrawn`: the whole pass's
+uniforms drawn from the stream in one call, which are the same values (a
+Philox draw of n + m values equals a draw of n then one of m). So a pass's
+dropout can be drawn on one thread and the pass run on another.
+
+`parallel_workers` is the one rule for how many threads may run passes: the
+cores the process may use over the threads numpy's OpenBLAS runs each
+product on. `Autoencoder.encode` runs its row blocks on that many threads,
+and `trainer.train_step` runs its vision pass on a helper thread when it
+gives at least 2; a multi-threaded or unreadable BLAS keeps the serial code, since
+both kinds of thread would compete for the same cores. A block or pass runs
+the same float operations on any thread, so the bits are the same.
 """
 
 from __future__ import annotations
@@ -47,14 +56,17 @@ from .numkit import Matrix, RngStream, blas_threads
 # is 256 KB, so the few that are live at once stay in a core's L2 cache; at
 # 1024 rows (1 MB each) they spilled, and each elementwise pass ran about
 # half as fast per element. A thread that takes a block late holds the
-# result back by one block's time, about 3 ms at the preset widths.
+# result back by one block's time, about 3 ms at the preset widths. Also the
+# fewest rows for which `trainer.train_step` runs its vision pass on a
+# helper thread: at 128 rows that thread gained nothing.
 _ENCODE_BLOCK_ROWS = 256
 
 
-def _encode_workers() -> int:
-    """Threads `Autoencoder.encode` may run blocks on: the cores this process
-    may use over the threads numpy's OpenBLAS runs each product on, so the
-    two never compete for a core; 1 when the BLAS count cannot be read."""
+def parallel_workers() -> int:
+    """Threads a pass may run on (`Autoencoder.encode`'s blocks, the passes
+    of `trainer.train_step`): the cores this process may use over the
+    threads numpy's OpenBLAS runs each product on, so the two never compete
+    for a core; 1 when the BLAS count cannot be read."""
     threads = blas_threads()
     if threads is None or not hasattr(os, "sched_getaffinity"):
         return 1
@@ -183,13 +195,33 @@ class Dropout(_Layer):
             return x, None
         if rng is None:
             raise InvalidInput("training forward with dropout > 0 needs an rng")
-        mask = (rng.uniform(x.shape) >= self.p) / (1.0 - self.p)
+        # the uniforms become the mask in place, with the float operations of
+        # (u >= p) / (1 - p): a pre-drawn slice is the mask the tape holds
+        mask = rng.uniform(x.shape)
+        np.greater_equal(mask, self.p, out=mask)
+        mask /= 1.0 - self.p
         return x * mask, mask
 
     def backward(self, dy, cache, grads):
         if cache is None:
             return dy
         return dy * cache
+
+
+class Predrawn:
+    """Uniforms drawn ahead of a pass, handed out in order by the call an
+    `RngStream` answers: ``uniform(shape)`` returns the next ``prod(shape)``
+    values as a view, which the `Dropout` that asked turns into its mask."""
+
+    def __init__(self, values):
+        self._values = values
+        self._used = 0
+
+    def uniform(self, shape):
+        start, self._used = self._used, self._used + math.prod(shape)
+        if self._used > self._values.size:
+            raise UsageError("the pass asked for more uniforms than were drawn")
+        return self._values[start : self._used].reshape(shape)
 
 
 class ResidualMLP(_Layer):
@@ -291,8 +323,22 @@ class Autoencoder:
         for layer, attr in self._slots:
             setattr(layer, attr, next(views))
 
-    def forward(self, x: Matrix, mode: str = "eval", rng: RngStream | None = None):
-        """Returns (latent Z, reconstruction Xhat, tape)."""
+    def draw_dropout(self, rows: int, rng: RngStream | None) -> Predrawn | None:
+        """The dropout uniforms of one train-mode `forward` over ``rows``
+        rows, drawn from ``rng`` in one call: the values the pass would draw
+        from ``rng`` itself. None, with nothing drawn, when dropout is off."""
+        if self.cfg.dropout == 0.0:
+            return None
+        if rng is None:
+            raise InvalidInput("training forward with dropout > 0 needs an rng")
+        # every stage of the encoder and of the decoder drops out twice at its
+        # width: after its SwiGLU and inside its residual MLP
+        return Predrawn(rng.uniform(4 * rows * sum(self.cfg.hidden_dims)))
+
+    def forward(self, x: Matrix, mode: str = "eval", rng: RngStream | Predrawn | None = None):
+        """Returns (latent Z, reconstruction Xhat, tape). In train mode each
+        dropout layer, in forward order, takes its uniforms from
+        ``rng.uniform``: an `RngStream`, or `draw_dropout`'s `Predrawn`."""
         if mode not in ("train", "eval"):
             raise InvalidInput(f"mode must be 'train' or 'eval', got {mode!r}")
         train = mode == "train"
@@ -339,7 +385,7 @@ class Autoencoder:
         so the activations of a large input never sit in memory at once.
         Equal to ``forward(x, "eval")[0]`` up to BLAS rounding.
 
-        The caller and ``workers - 1`` helper threads (`_encode_workers`, at
+        The caller and ``workers - 1`` helper threads (`parallel_workers`, at
         most one per block) take block starts from one shared iterator and
         write into one output array, so a thread that gets no CPU delays the
         result by one block at most. With one worker no thread is started;
@@ -358,7 +404,7 @@ class Autoencoder:
                 for _ in pending:  # after an error, leave the other threads no block
                     pass
 
-        workers = min(_encode_workers(), len(starts))
+        workers = min(parallel_workers(), len(starts))
         if workers <= 1:
             run()
             return z

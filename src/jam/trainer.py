@@ -26,16 +26,24 @@ best/initial snapshots each work on one array.
 The language autoencoder reconstructs positive and hard-negative texts in
 every objective (hard negatives must be encodable at evaluation time);
 gradients from the alignment loss reach it through both text passes.
+
+The two autoencoders meet only in the loss, so from
+``nnet._ENCODE_BLOCK_ROWS`` rows a step runs the vision autoencoder's
+forward and backward on one helper thread while the calling thread runs the
+two text passes, when `nnet.parallel_workers` leaves a core for it. The
+step's dropout is drawn before any pass starts, on the calling thread and
+in pass order, so a step on one thread or two computes the same bits.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import losses
+from . import losses, nnet
 from .embed_io import PairedDataset, split_dataset
 from .errors import InvalidInput, NonFiniteLoss, UsageError
 from .evalkit import RetrievalResult, recall_binary, recall_5way
@@ -200,19 +208,20 @@ class TrainedJAM:
         return self.language_ae.encode(x)
 
 
+def _latents(model: TrainedJAM, ds: PairedDataset):
+    """Eval-mode latents of a split's images, positive and hard-negative texts."""
+    return (model.encode_vision(ds.images), model.encode_language(ds.positives),
+            model.encode_language(ds.negatives))
+
+
 def validate(model: TrainedJAM, ds: PairedDataset) -> float:
     """Binary image-to-text Recall@1 on eval-mode latents."""
-    zv = model.encode_vision(ds.images)
-    zlp = model.encode_language(ds.positives)
-    zln = model.encode_language(ds.negatives)
-    return recall_binary(zv, zlp, zln)
+    return recall_binary(*_latents(model, ds))
 
 
 def evaluate(model: TrainedJAM, ds: PairedDataset, seed: int) -> RetrievalResult:
     """Binary and 5-way retrieval on eval-mode latents, seeded distractors."""
-    zv = model.encode_vision(ds.images)
-    zlp = model.encode_language(ds.positives)
-    zln = model.encode_language(ds.negatives)
+    zv, zlp, zln = _latents(model, ds)
     return RetrievalResult(
         recall_binary=recall_binary(zv, zlp, zln),
         recall_5way=recall_5way(zv, zlp, zln, RngStream(seed)),
@@ -221,56 +230,80 @@ def evaluate(model: TrainedJAM, ds: PairedDataset, seed: int) -> RetrievalResult
     )
 
 
+class _CallingThread(Executor):
+    """Runs each submitted call at once, on the calling thread: the serial
+    stand-in for `train_step`'s helper thread."""
+
+    def submit(self, fn, /, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
 def train_step(model: TrainedJAM, xv, xlp, xln, lam, rng, grad=None):
     """Objective and gradients of one joint step on one batch, at the
     model's current parameters and under its config's loss and similarity
     settings.
 
-    Forwards images, positive texts and hard-negative texts in train mode (in
-    that order, drawing dropout from ``rng``), adds the lambda-weighted
-    reconstruction of both autoencoders to the alignment objective and
-    backpropagates through both. Returns (total, grad, parts): ``grad`` is
-    the vector in ``model.params`` layout passed in, or a new one, now
-    holding the gradient, or None, with no backward run, when ``total`` is
-    not finite; ``parts`` is `losses.alignment_grads`' parts plus
-    ``recon_v``, ``recon_l``, ``align`` and ``total``.
+    Forwards images, positive texts and hard-negative texts in train mode,
+    adds the lambda-weighted reconstruction of both autoencoders to the
+    alignment objective and backpropagates through both. The dropout of all
+    three passes is drawn from ``rng`` up front, one call per pass in that
+    order (`Autoencoder.draw_dropout`). From ``nnet._ENCODE_BLOCK_ROWS``
+    rows, when `nnet.parallel_workers` gives at least 2, the vision pass's
+    forward and backward run on one helper thread beside the text passes;
+    the helper is joined before the step returns or raises, and every pass
+    runs the same float operations on either thread. Returns (total, grad,
+    parts): ``grad`` is the vector in ``model.params`` layout passed in, or
+    a new one, now holding the gradient, or None, with no backward run,
+    when ``total`` is not finite; ``parts`` is `losses.alignment_grads`'
+    parts plus ``recon_v``, ``recon_l``, ``align`` and ``total``.
     """
     vision, language = model.vision_ae, model.language_ae
-    zv, xhat_v, tape_v = vision.forward(xv, "train", rng)
-    zlp, xhat_lp, tape_lp = language.forward(xlp, "train", rng)
-    zln, xhat_ln, tape_ln = language.forward(xln, "train", rng)
+    draw_v, draw_lp, draw_ln = [ae.draw_dropout(len(x), rng)
+                                for ae, x in ((vision, xv), (language, xlp), (language, xln))]
+    threaded = len(xv) >= nnet._ENCODE_BLOCK_ROWS and nnet.parallel_workers() >= 2
+    with ThreadPoolExecutor(1) if threaded else _CallingThread() as vision_thread:
+        vision_pass = vision_thread.submit(vision.forward, xv, "train", draw_v)
+        zlp, xhat_lp, tape_lp = language.forward(xlp, "train", draw_lp)
+        zln, xhat_ln, tape_ln = language.forward(xln, "train", draw_ln)
+        zv, xhat_v, tape_v = vision_pass.result()
 
-    recon_v = losses.mse_recon(xv, xhat_v)
-    x_l = np.concatenate([xlp, xln])
-    recon_l = losses.mse_recon(x_l, np.concatenate([xhat_lp, xhat_ln]))
-    align, d_zv, d_zlp, d_zln, d_ls, parts = losses.alignment_grads(
-        zv, zlp, zln, model.cfg.loss_cfg, model.cfg.sim_cfg, model.log_scale
-    )
-    total = lam * (recon_v + recon_l) + align
-    parts.update(recon_v=recon_v, recon_l=recon_l, align=align, total=total)
-    if not math.isfinite(total):
-        return total, None, parts
+        recon_v = losses.mse_recon(xv, xhat_v)
+        x_l = np.concatenate([xlp, xln])
+        recon_l = losses.mse_recon(x_l, np.concatenate([xhat_lp, xhat_ln]))
+        align, d_zv, d_zlp, d_zln, d_ls, parts = losses.alignment_grads(
+            zv, zlp, zln, model.cfg.loss_cfg, model.cfg.sim_cfg, model.log_scale
+        )
+        total = lam * (recon_v + recon_l) + align
+        parts.update(recon_v=recon_v, recon_l=recon_l, align=align, total=total)
+        if not math.isfinite(total):
+            return total, None, parts
 
-    # `train` hands back the vector its first step made here, after the
-    # forward passes: it lands above their activations in glibc's heap and
-    # stays live there, so the free()s that end a step never leave a large
-    # free top to trim, and each forward reuses mapped memory. Made before
-    # the first forward, it sits below them instead; at batch 1024 glibc then
-    # returned ~350 MB after every step and the next forward faulted it back
-    # in (~25 K minor faults a step).
-    if grad is None:
-        grad = np.empty_like(model.params.vector)
-    d_xhat_v = lam * 2.0 * (xhat_v - xv) / xv.size
-    scale_l = lam * 2.0 / x_l.size
-    d_xhat_lp = scale_l * (xhat_lp - xlp)
-    d_xhat_ln = scale_l * (xhat_ln - xln)
+        # `train` hands back the vector its first step made here, after the
+        # forward passes: it lands above their activations in glibc's heap and
+        # stays live there, so the free()s that end a step never leave a large
+        # free top to trim, and each forward reuses mapped memory. Made before
+        # the first forward, it sits below them instead; at batch 1024 glibc then
+        # returned ~350 MB after every step and the next forward faulted it back
+        # in (~25 K minor faults a step).
+        if grad is None:
+            grad = np.empty_like(model.params.vector)
 
-    vision.backward(tape_v, d_zv, d_xhat_v, grad[model.vision_span])
-    grad_l = grad[model.language_span]
-    language.backward(tape_lp, d_zlp, d_xhat_lp, grad_l)
-    grad_ln = np.empty_like(grad_l)
-    language.backward(tape_ln, d_zln, d_xhat_ln, grad_ln)
-    grad_l += grad_ln
+        def vision_backward():
+            d_xhat_v = lam * 2.0 * (xhat_v - xv) / xv.size
+            vision.backward(tape_v, d_zv, d_xhat_v, grad[model.vision_span])
+
+        vision_pass = vision_thread.submit(vision_backward)
+        scale_l = lam * 2.0 / x_l.size
+        d_xhat_lp = scale_l * (xhat_lp - xlp)
+        d_xhat_ln = scale_l * (xhat_ln - xln)
+        grad_l = grad[model.language_span]
+        language.backward(tape_lp, d_zlp, d_xhat_lp, grad_l)
+        grad_ln = np.empty_like(grad_l)
+        language.backward(tape_ln, d_zln, d_xhat_ln, grad_ln)
+        grad_l += grad_ln
+        vision_pass.result()
     if "logit_scale" in model.params:
         grad[-1] = d_ls
     return total, grad, parts

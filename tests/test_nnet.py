@@ -313,6 +313,60 @@ class TestAutoencoder:
         assert err > 1e-2
 
 
+def dropout_masks(tape):
+    """Every dropout mask a tape holds, in forward order."""
+    masks = []
+    for layer, cache in tape.enc_records + tape.dec_records:
+        if isinstance(layer, Dropout):
+            masks.append(cache)
+        elif isinstance(layer, ResidualMLP):
+            masks.append(cache[-1])
+    return masks
+
+
+class TestPredrawnDropout:
+    """A pass's dropout drawn in one call (`draw_dropout`) against the same
+    pass drawing from the stream layer by layer."""
+
+    def test_dropout_mask_is_the_thresholded_uniforms(self):
+        layer = Dropout("drop", 0.3)
+        x = RngStream(40).gaussian(9, 7)
+        y, mask = layer.forward(x, True, RngStream(41))
+        want = (RngStream(41).uniform(x.shape) >= 0.3) / (1.0 - 0.3)
+        assert mask.tobytes() == want.tobytes()
+        assert y.tobytes() == (x * want).tobytes()
+
+    @pytest.mark.parametrize("hidden", [[6], [7, 5], []])
+    def test_same_latents_masks_and_stream_state(self, hidden):
+        ae = Autoencoder(AutoencoderConfig(8, hidden, 3, dropout=0.25), RngStream(42))
+        x = RngStream(43).gaussian(11, 8)
+        stream, drawn = RngStream(44), RngStream(44)
+        z, xhat, tape = ae.forward(x, "train", stream)
+        z_pre, xhat_pre, tape_pre = ae.forward(x, "train", ae.draw_dropout(len(x), drawn))
+        assert z.tobytes() == z_pre.tobytes() and xhat.tobytes() == xhat_pre.tobytes()
+        masks, masks_pre = dropout_masks(tape), dropout_masks(tape_pre)
+        assert len(masks) == len(masks_pre) == 4 * len(hidden)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(masks, masks_pre))
+        assert stream.uniform(5).tobytes() == drawn.uniform(5).tobytes()
+
+    def test_no_dropout_draws_nothing(self):
+        ae = Autoencoder(AutoencoderConfig(8, [6, 4], 3, dropout=0.0), RngStream(45))
+        rng = RngStream(46)
+        assert ae.draw_dropout(10, rng) is None
+        assert rng.uniform(3).tobytes() == RngStream(46).uniform(3).tobytes()
+
+    def test_dropout_needs_an_rng(self):
+        ae = Autoencoder(AutoencoderConfig(8, [6], 3, dropout=0.1), RngStream(47))
+        with pytest.raises(InvalidInput):
+            ae.draw_dropout(4, None)
+
+    def test_a_pass_that_asks_for_more_is_refused(self):
+        ae = Autoencoder(AutoencoderConfig(8, [6], 3, dropout=0.1), RngStream(48))
+        drawn = ae.draw_dropout(4, RngStream(49))
+        with pytest.raises(UsageError):
+            ae.forward(RngStream(50).gaussian(5, 8), "train", drawn)
+
+
 PRESET_AES = ["ae_cfg_vision", "ae_cfg_language"]
 
 
@@ -364,7 +418,7 @@ class TestThreadedEncode:
 
     @pytest.fixture
     def two_workers(self, monkeypatch):
-        monkeypatch.setattr(nnet, "_encode_workers", lambda: 2)
+        monkeypatch.setattr(nnet, "parallel_workers", lambda: 2)
 
     @pytest.fixture
     def no_thread_start(self, monkeypatch):
@@ -399,7 +453,7 @@ class TestThreadedEncode:
     def test_worker_rule(self, cores, threads, workers, monkeypatch):
         monkeypatch.setattr(nnet.os, "sched_getaffinity", lambda pid: cores, raising=False)
         monkeypatch.setattr(nnet, "blas_threads", lambda: threads)
-        assert nnet._encode_workers() == workers
+        assert nnet.parallel_workers() == workers
 
     def test_one_block_starts_no_thread(self, two_workers, no_thread_start):
         ae = preset_ae("ae_cfg_vision")
@@ -417,7 +471,7 @@ class TestThreadedEncode:
     def test_each_block_runs_once_under_stress(self, monkeypatch):
         # more threads than cores, small blocks and a short switch interval:
         # a block taken twice or skipped shows in the row count or the bits
-        monkeypatch.setattr(nnet, "_encode_workers", lambda: 8)
+        monkeypatch.setattr(nnet, "parallel_workers", lambda: 8)
         monkeypatch.setattr(nnet, "_ENCODE_BLOCK_ROWS", 16)
         ae = preset_ae("ae_cfg_language")
         x = RngStream(29).gaussian(2001, ae.cfg.input_dim)

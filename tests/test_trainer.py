@@ -1,10 +1,14 @@
 import json
 import math
+import sys
+import threading
+import time
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
+from jam import nnet, presets
 from jam.embed_io import SynthConfig, split_dataset, synth_generate
 from jam.errors import InvalidInput, NonFiniteLoss, UsageError
 from jam.losses import LossConfig, SimilarityConfig
@@ -447,3 +451,144 @@ class TestCheckpointRoundTrip:
             loaded.encode_language(te.negatives), model.encode_language(te.negatives)
         )
         assert loaded.log_scale == model.log_scale
+
+
+def step_batch(rows, cfg, seed=60):
+    r = RngStream(seed)
+    return (r.gaussian(rows, cfg.ae_cfg_vision.input_dim), r.gaussian(rows, cfg.ae_cfg_language.input_dim),
+            r.gaussian(rows, cfg.ae_cfg_language.input_dim))
+
+
+def record_threads(monkeypatch, ae, calls, delay=0.0, fail=None):
+    """Wrap ``ae``'s forward and backward: append (name, thread ident) to
+    ``calls``, sleep ``delay`` seconds in forward, and raise ``fail`` from it."""
+    for name in ("forward", "backward"):
+        original = getattr(ae, name)
+
+        def wrapped(*args, _name=name, _original=original):
+            calls.append((_name, threading.get_ident()))
+            if _name == "forward":
+                time.sleep(delay)
+                if fail is not None:
+                    raise fail
+            return _original(*args)
+
+        monkeypatch.setattr(ae, name, wrapped)
+
+
+class TestThreadedStep:
+    """`train_step` with the vision pass on a helper thread, forced by
+    patching the worker rule, so it runs on one core and under any BLAS."""
+
+    @pytest.fixture
+    def workers(self, monkeypatch):
+        def set_workers(n):
+            monkeypatch.setattr(nnet, "parallel_workers", lambda: n)
+
+        return set_workers
+
+    @pytest.fixture
+    def no_thread_start(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError("train_step started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+
+    @pytest.mark.parametrize("objective", ["con", "negcon", "spread"])
+    def test_bits_equal_the_serial_step(self, objective, workers):
+        cfg = replace(presets.benchmark_train_config(objective),
+                      sim_cfg=SimilarityConfig(logit_scale_mode="learnable"))
+        model = TrainedJAM(cfg, RngStream(1), RngStream(2))
+        batch = step_batch(300, cfg)
+        steps = []
+        interval = sys.getswitchinterval()
+        for n in (1, 2):
+            workers(n)
+            sys.setswitchinterval(1e-6 if n == 2 else interval)  # the threads interleave finely
+            try:
+                total, grad, parts = train_step(model, *batch, 0.7, RngStream(3))
+            finally:
+                sys.setswitchinterval(interval)
+            steps.append((repr((total, parts)), grad.tobytes()))
+        assert steps[0] == steps[1]
+
+    def test_training_bits_equal_serial_training(self, workers):
+        ds, _, _ = synth_generate(SynthConfig(n=600, d_v=16, d_l=20, seed=8))
+        tr, va, _ = split_dataset(ds, seed=8)
+        cfg = tiny_cfg(epochs=2, batch_size=256, validate_every=1)
+        assert tr.n >= 256
+        vectors = []
+        for n in (1, 2):
+            workers(n)
+            model, history = train(tr, va, cfg, seed=5)
+            vectors.append((model.params.vector.tobytes(), history.epochs))
+        assert vectors[0] == vectors[1]
+
+    @pytest.mark.parametrize("rows, rule", [(255, 2), (300, 1)], ids=["below-the-gate", "one-worker"])
+    def test_no_helper_unless_both_hold(self, rows, rule, workers, no_thread_start):
+        workers(rule)
+        cfg = tiny_cfg()
+        model = TrainedJAM(cfg, RngStream(1), RngStream(2))
+        total, grad, _ = train_step(model, *step_batch(rows, cfg), 1.0, RngStream(3))
+        assert math.isfinite(total) and np.isfinite(grad).all()
+
+    def test_serial_under_a_multithreaded_blas(self, monkeypatch, no_thread_start):
+        monkeypatch.setattr(nnet.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(nnet, "blas_threads", lambda: 2)
+        cfg = tiny_cfg()
+        model = TrainedJAM(cfg, RngStream(1), RngStream(2))
+        total, _, _ = train_step(model, *step_batch(300, cfg), 1.0, RngStream(3))
+        assert math.isfinite(total)
+
+    def test_the_helper_runs_the_vision_pass(self, workers, monkeypatch):
+        workers(2)
+        cfg = tiny_cfg()
+        model = TrainedJAM(cfg, RngStream(1), RngStream(2))
+        vision_calls, language_calls = [], []
+        record_threads(monkeypatch, model.vision_ae, vision_calls)
+        record_threads(monkeypatch, model.language_ae, language_calls)
+        train_step(model, *step_batch(256, cfg), 1.0, RngStream(3))
+        caller = threading.get_ident()
+        assert [name for name, _ in vision_calls] == ["forward", "backward"]
+        assert all(ident != caller for _, ident in vision_calls)
+        assert [name for name, _ in language_calls] == ["forward", "forward", "backward", "backward"]
+        assert all(ident == caller for _, ident in language_calls)
+
+    def test_joined_when_the_callers_pass_raises(self, workers, monkeypatch):
+        workers(2)
+        cfg = tiny_cfg()
+        model = TrainedJAM(cfg, RngStream(1), RngStream(2))
+        vision_calls = []
+        # the vision pass is still running when the caller's pass raises
+        record_threads(monkeypatch, model.vision_ae, vision_calls, delay=0.3)
+        record_threads(monkeypatch, model.language_ae, [], fail=KeyError("language pass failed"))
+        before = threading.active_count()
+        with pytest.raises(KeyError, match="language pass failed"):
+            train_step(model, *step_batch(300, cfg), 1.0, RngStream(3))
+        assert threading.active_count() == before
+        assert [name for name, _ in vision_calls] == ["forward"]
+
+    def test_the_helpers_error_reaches_the_caller(self, workers, monkeypatch):
+        workers(2)
+        cfg = tiny_cfg()
+        model = TrainedJAM(cfg, RngStream(1), RngStream(2))
+        record_threads(monkeypatch, model.vision_ae, [], fail=KeyError("vision pass failed"))
+        before = threading.active_count()
+        with pytest.raises(KeyError, match="vision pass failed"):
+            train_step(model, *step_batch(300, cfg), 1.0, RngStream(3))
+        assert threading.active_count() == before
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+    def test_joined_after_a_nonfinite_total(self, workers, monkeypatch):
+        workers(2)
+        cfg = tiny_cfg()
+        model = TrainedJAM(cfg, RngStream(1), RngStream(2))
+        model.params["l.dec.out.b"][:] = 1e300  # reconstruction error overflows
+        vision_calls = []
+        record_threads(monkeypatch, model.vision_ae, vision_calls)
+        before = threading.active_count()
+        total, grad, _ = train_step(model, *step_batch(300, cfg), 1.0, RngStream(3))
+        assert grad is None and not math.isfinite(total)
+        assert threading.active_count() == before
+        assert [name for name, _ in vision_calls] == ["forward"]
+        assert vision_calls[0][1] != threading.get_ident()
