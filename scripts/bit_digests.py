@@ -24,14 +24,12 @@ summation block, so a reordered row sum shows. con runs with and without
 gradient vector of one step of two small autoencoders (dropout on, a
 learnable logit scale) on a seeded 32-row batch, so a change to backward
 shows in seconds. The step digest covers the same of one step of the
-preset model (dropout 0.1) on a seeded 300-row batch, past the batch size
-from which `trainer.train_step` runs its vision pass on a helper thread; the
-step runs twice, with the worker rule set to 1 (serial) and to 2 (a helper
-thread), and the script stops if the two differ. The encode digest covers
-`encode_vision` and `encode_language` of a seeded preset model on seeded 2001-row inputs (seven
-full 256-row blocks and a tail), so it must read the same whether
-`Autoencoder.encode` runs its blocks on helper threads
-(``OPENBLAS_NUM_THREADS=1`` on a multi-core host) or serially (``=2``).
+preset model (dropout 0.1) on a seeded 300-row batch, past the rows from
+which `nnet.side_by_side` may start a thread. The encode digest covers
+`encode_vision` and `encode_language` of a seeded preset model on seeded
+2001-row inputs (seven full 256-row blocks and a tail). The step and the
+encode each run twice, with the worker rule set to 1 (serial) and to 2
+(helper threads), and the script stops if the two digests differ.
 The workloads and their sizes are
 ``perfbench/workloads.WORKLOADS``; their files go to a temporary directory.
 """
@@ -94,6 +92,21 @@ def gradient_digests(seed):
         print(f"gradient {objective}: sha256={digest.hexdigest()}", flush=True)
 
 
+def serial_and_threaded(name, digest_of):
+    """Print ``digest_of()``, run with `nnet.parallel_workers` forced to 1
+    and to 2; stop the script, printing both digests, if they differ."""
+    rule, digests = nnet.parallel_workers, []
+    try:
+        for workers in (1, 2):
+            nnet.parallel_workers = lambda: workers
+            digests.append(digest_of())
+    finally:
+        nnet.parallel_workers = rule
+    if digests[0] != digests[1]:
+        sys.exit(f"{name}: serial sha256={digests[0]}, threaded sha256={digests[1]}")
+    print(f"{name}: sha256={digests[0]}", flush=True)
+
+
 def step_digest(seed):
     cfg = presets.benchmark_train_config("spread")
     model = trainer.TrainedJAM(cfg, RngStream(seed + 1), RngStream(seed + 2))
@@ -102,19 +115,14 @@ def step_digest(seed):
     xv = r.gaussian(rows, cfg.ae_cfg_vision.input_dim)
     d_l = cfg.ae_cfg_language.input_dim
     xlp, xln = r.gaussian(rows, d_l), r.gaussian(rows, d_l)
-    rule, digests = nnet.parallel_workers, []
-    try:
-        for workers in (1, 2):  # the serial step, then the one with a helper thread
-            nnet.parallel_workers = lambda: workers
-            total, grad, parts = trainer.train_step(model, xv, xlp, xln, 0.5, RngStream(seed + 3))
-            digest = hashlib.sha256(repr((total, parts)).encode("utf-8"))
-            digest.update(grad.tobytes())
-            digests.append(digest.hexdigest())
-    finally:
-        nnet.parallel_workers = rule
-    if digests[0] != digests[1]:
-        sys.exit(f"step: the serial step read sha256={digests[0]}, the threaded one sha256={digests[1]}")
-    print(f"step: sha256={digests[0]}", flush=True)
+
+    def digest_of():
+        total, grad, parts = trainer.train_step(model, xv, xlp, xln, 0.5, RngStream(seed + 3))
+        digest = hashlib.sha256(repr((total, parts)).encode("utf-8"))
+        digest.update(grad.tobytes())
+        return digest.hexdigest()
+
+    serial_and_threaded("step", digest_of)
 
 
 def encode_digest(seed):
@@ -122,9 +130,13 @@ def encode_digest(seed):
     model = trainer.TrainedJAM(cfg, RngStream(seed + 1), RngStream(seed + 2))
     r = RngStream(seed)
     xv, xl = r.gaussian(2001, cfg.ae_cfg_vision.input_dim), r.gaussian(2001, cfg.ae_cfg_language.input_dim)
-    digest = hashlib.sha256(model.encode_vision(xv).tobytes())
-    digest.update(model.encode_language(xl).tobytes())
-    print(f"encode: sha256={digest.hexdigest()}", flush=True)
+
+    def digest_of():
+        digest = hashlib.sha256(model.encode_vision(xv).tobytes())
+        digest.update(model.encode_language(xl).tobytes())
+        return digest.hexdigest()
+
+    serial_and_threaded("encode", digest_of)
 
 
 def json_sha256(value):

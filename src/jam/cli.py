@@ -212,6 +212,14 @@ def _write_record(path, command: str, config: dict, **fields) -> None:
     _write_json(path, {"command": command, "config": config, "format_version": FORMAT_VERSION, **fields})
 
 
+# the columns of `jam train`'s results.csv and `jam eval`'s result.csv
+_RESULTS_HEADER = ["task", "objective", "seed", "recall_binary", "recall_5way", "n_queries"]
+
+
+def _results_row(task, objective, seed, recall_binary, recall_5way, n_queries="") -> list:
+    return [task, objective, seed, repr(recall_binary), repr(recall_5way), n_queries]
+
+
 def _write_csv(path, header, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -331,21 +339,12 @@ def cmd_train(config: dict) -> int:
         _write_record(
             out_dir / "aggregate.json", "train", config, task=task, objective=config["objective"], aggregate=agg,
         )
-        rows = [
-            [task, config["objective"], r.seed, repr(r.recall_binary), repr(r.recall_5way), r.n_queries]
-            for r in results
-        ]
-        rows.append(
-            [task, config["objective"], "mean", repr(agg["recall_binary"]["mean"]), repr(agg["recall_5way"]["mean"]), ""]
-        )
-        rows.append(
-            [task, config["objective"], "std", repr(agg["recall_binary"]["std"]), repr(agg["recall_5way"]["std"]), ""]
-        )
-        _write_csv(
-            out_dir / "results.csv",
-            ["task", "objective", "seed", "recall_binary", "recall_5way", "n_queries"],
-            rows,
-        )
+        objective = config["objective"]
+        rows = [_results_row(task, objective, r.seed, r.recall_binary, r.recall_5way, r.n_queries)
+                for r in results]
+        rows += [_results_row(task, objective, stat, agg["recall_binary"][stat], agg["recall_5way"][stat])
+                 for stat in ("mean", "std")]
+        _write_csv(out_dir / "results.csv", _RESULTS_HEADER, rows)
     return status
 
 
@@ -370,11 +369,8 @@ def cmd_eval(config: dict) -> int:
         out_dir / "result.json", "eval", config,
         task=task, objective=objective, seed=seed, split=split, result=asdict(result),
     )
-    _write_csv(
-        out_dir / "result.csv",
-        ["task", "objective", "seed", "recall_binary", "recall_5way", "n_queries"],
-        [[task, objective, seed, repr(result.recall_binary), repr(result.recall_5way), result.n_queries]],
-    )
+    _write_csv(out_dir / "result.csv", _RESULTS_HEADER,
+               [_results_row(task, objective, seed, result.recall_binary, result.recall_5way, result.n_queries)])
     print(
         f"{split} recall_binary={result.recall_binary:.4f} recall_5way={result.recall_5way:.4f}"
     )

@@ -27,13 +27,10 @@ uniforms drawn from the stream in one call, which are the same values (a
 Philox draw of n + m values equals a draw of n then one of m). So a pass's
 dropout can be drawn on one thread and the pass run on another.
 
-`parallel_workers` is the one rule for how many threads may run passes: the
-cores the process may use over the threads numpy's OpenBLAS runs each
-product on. `Autoencoder.encode` runs its row blocks on that many threads,
-and `trainer.train_step` runs its vision pass on a helper thread when it
-gives at least 2; a multi-threaded or unreadable BLAS keeps the serial code, since
-both kinds of thread would compete for the same cores. A block or pass runs
-the same float operations on any thread, so the bits are the same.
+`side_by_side` is the one place work runs beside the calling thread:
+`Autoencoder.encode` hands it its row-block workers, `trainer.train_step` the
+passes of its two autoencoders. A block or pass runs the same float
+operations on any thread, so the bits are the same.
 """
 
 from __future__ import annotations
@@ -57,20 +54,38 @@ from .numkit import Matrix, RngStream, blas_threads
 # 1024 rows (1 MB each) they spilled, and each elementwise pass ran about
 # half as fast per element. A thread that takes a block late holds the
 # result back by one block's time, about 3 ms at the preset widths. Also the
-# fewest rows for which `trainer.train_step` runs its vision pass on a
-# helper thread: at 128 rows that thread gained nothing.
+# fewest rows for which `side_by_side` starts a thread: a training step's
+# helper gained nothing at 128 rows.
 _ENCODE_BLOCK_ROWS = 256
 
 
 def parallel_workers() -> int:
-    """Threads a pass may run on (`Autoencoder.encode`'s blocks, the passes
-    of `trainer.train_step`): the cores this process may use over the
-    threads numpy's OpenBLAS runs each product on, so the two never compete
-    for a core; 1 when the BLAS count cannot be read."""
+    """Threads `side_by_side` may run calls on: the cores this process may
+    use over the threads numpy's OpenBLAS runs each product on, so the two
+    kinds of thread never compete for a core; 1 when the BLAS count cannot
+    be read."""
     threads = blas_threads()
     if threads is None or not hasattr(os, "sched_getaffinity"):
         return 1
     return max(1, len(os.sched_getaffinity(0)) // threads)
+
+
+def side_by_side(calls, rows: int) -> list:
+    """The results of the zero-argument ``calls``, in order, for work over
+    ``rows`` rows.
+
+    With at least two calls, at least ``_ENCODE_BLOCK_ROWS`` rows and
+    `parallel_workers` at least 2, every call but the last runs on a helper
+    thread of its own while the caller runs the last; the helpers are joined
+    before this returns or raises, and an error in any call reaches the
+    caller. Otherwise the calls run in order on the calling thread and no
+    thread is started."""
+    if len(calls) < 2 or rows < _ENCODE_BLOCK_ROWS or parallel_workers() < 2:
+        return [call() for call in calls]
+    with ThreadPoolExecutor(len(calls) - 1) as pool:
+        helpers = [pool.submit(call) for call in calls[:-1]]
+        last = calls[-1]()
+        return [helper.result() for helper in helpers] + [last]
 
 
 def _glorot(rng: RngStream, d_in: int, d_out: int) -> Matrix:
@@ -385,11 +400,10 @@ class Autoencoder:
         so the activations of a large input never sit in memory at once.
         Equal to ``forward(x, "eval")[0]`` up to BLAS rounding.
 
-        The caller and ``workers - 1`` helper threads (`parallel_workers`, at
-        most one per block) take block starts from one shared iterator and
-        write into one output array, so a thread that gets no CPU delays the
-        result by one block at most. With one worker no thread is started;
-        helpers are joined before `encode` returns, also when a block raises."""
+        `side_by_side` runs up to `parallel_workers` workers, at most one per
+        block, which take block starts from one shared iterator and write
+        into one output array, so a thread that gets no CPU delays the result
+        by one block at most."""
         x = self._checked_input(x)
         z = np.empty((len(x), self.cfg.latent_dim))
         starts = range(0, len(x), _ENCODE_BLOCK_ROWS)
@@ -404,15 +418,7 @@ class Autoencoder:
                 for _ in pending:  # after an error, leave the other threads no block
                     pass
 
-        workers = min(parallel_workers(), len(starts))
-        if workers <= 1:
-            run()
-            return z
-        with ThreadPoolExecutor(workers - 1) as pool:
-            helpers = [pool.submit(run) for _ in range(workers - 1)]
-            run()
-            for helper in helpers:
-                helper.result()
+        side_by_side([run] * min(parallel_workers(), len(starts)), len(x))
         return z
 
     def _encode_block(self, h: Matrix) -> Matrix:

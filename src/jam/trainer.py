@@ -27,23 +27,21 @@ The language autoencoder reconstructs positive and hard-negative texts in
 every objective (hard negatives must be encodable at evaluation time);
 gradients from the alignment loss reach it through both text passes.
 
-The two autoencoders meet only in the loss, so from
-``nnet._ENCODE_BLOCK_ROWS`` rows a step runs the vision autoencoder's
-forward and backward on one helper thread while the calling thread runs the
-two text passes, when `nnet.parallel_workers` leaves a core for it. The
-step's dropout is drawn before any pass starts, on the calling thread and
-in pass order, so a step on one thread or two computes the same bits.
+The two autoencoders meet only in the loss, so a step hands their passes to
+`nnet.side_by_side`: the vision forward beside the two text passes, then the
+vision backward beside the language one. The step's dropout is drawn before
+any pass starts, on the calling thread and in pass order, so a step on one
+thread or two computes the same bits.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import losses, nnet
+from . import losses
 from .embed_io import PairedDataset, split_dataset
 from .errors import InvalidInput, NonFiniteLoss, UsageError
 from .evalkit import RetrievalResult, recall_binary, recall_5way
@@ -57,6 +55,7 @@ from .nnet import (
     cosine_lr,
     load_checkpoint,
     save_checkpoint,
+    side_by_side,
 )
 from .numkit import RngStream
 
@@ -230,16 +229,6 @@ def evaluate(model: TrainedJAM, ds: PairedDataset, seed: int) -> RetrievalResult
     )
 
 
-class _CallingThread(Executor):
-    """Runs each submitted call at once, on the calling thread: the serial
-    stand-in for `train_step`'s helper thread."""
-
-    def submit(self, fn, /, *args):
-        future = Future()
-        future.set_result(fn(*args))
-        return future
-
-
 def train_step(model: TrainedJAM, xv, xlp, xln, lam, rng, grad=None):
     """Objective and gradients of one joint step on one batch, at the
     model's current parameters and under its config's loss and similarity
@@ -249,11 +238,9 @@ def train_step(model: TrainedJAM, xv, xlp, xln, lam, rng, grad=None):
     adds the lambda-weighted reconstruction of both autoencoders to the
     alignment objective and backpropagates through both. The dropout of all
     three passes is drawn from ``rng`` up front, one call per pass in that
-    order (`Autoencoder.draw_dropout`). From ``nnet._ENCODE_BLOCK_ROWS``
-    rows, when `nnet.parallel_workers` gives at least 2, the vision pass's
-    forward and backward run on one helper thread beside the text passes;
-    the helper is joined before the step returns or raises, and every pass
-    runs the same float operations on either thread. Returns (total, grad,
+    order (`Autoencoder.draw_dropout`). `side_by_side` runs the vision
+    forward beside the two text forwards, then the vision backward beside
+    the language backward, vision first in each. Returns (total, grad,
     parts): ``grad`` is the vector in ``model.params`` layout passed in, or
     a new one, now holding the gradient, or None, with no backward run,
     when ``total`` is not finite; ``parts`` is `losses.alignment_grads`'
@@ -262,39 +249,39 @@ def train_step(model: TrainedJAM, xv, xlp, xln, lam, rng, grad=None):
     vision, language = model.vision_ae, model.language_ae
     draw_v, draw_lp, draw_ln = [ae.draw_dropout(len(x), rng)
                                 for ae, x in ((vision, xv), (language, xlp), (language, xln))]
-    threaded = len(xv) >= nnet._ENCODE_BLOCK_ROWS and nnet.parallel_workers() >= 2
-    with ThreadPoolExecutor(1) if threaded else _CallingThread() as vision_thread:
-        vision_pass = vision_thread.submit(vision.forward, xv, "train", draw_v)
-        zlp, xhat_lp, tape_lp = language.forward(xlp, "train", draw_lp)
-        zln, xhat_ln, tape_ln = language.forward(xln, "train", draw_ln)
-        zv, xhat_v, tape_v = vision_pass.result()
 
-        recon_v = losses.mse_recon(xv, xhat_v)
-        x_l = np.concatenate([xlp, xln])
-        recon_l = losses.mse_recon(x_l, np.concatenate([xhat_lp, xhat_ln]))
-        align, d_zv, d_zlp, d_zln, d_ls, parts = losses.alignment_grads(
-            zv, zlp, zln, model.cfg.loss_cfg, model.cfg.sim_cfg, model.log_scale
-        )
-        total = lam * (recon_v + recon_l) + align
-        parts.update(recon_v=recon_v, recon_l=recon_l, align=align, total=total)
-        if not math.isfinite(total):
-            return total, None, parts
+    def language_forward():
+        return language.forward(xlp, "train", draw_lp), language.forward(xln, "train", draw_ln)
 
-        # `train` hands back the vector its first step made here, after the
-        # forward passes: it lands above their activations in glibc's heap and
-        # stays live there, so the free()s that end a step never leave a large
-        # free top to trim, and each forward reuses mapped memory. Made before
-        # the first forward, it sits below them instead; at batch 1024 glibc then
-        # returned ~350 MB after every step and the next forward faulted it back
-        # in (~25 K minor faults a step).
-        if grad is None:
-            grad = np.empty_like(model.params.vector)
+    (zv, xhat_v, tape_v), ((zlp, xhat_lp, tape_lp), (zln, xhat_ln, tape_ln)) = side_by_side(
+        [lambda: vision.forward(xv, "train", draw_v), language_forward], len(xv))
 
-        def vision_backward():
-            d_xhat_v = lam * 2.0 * (xhat_v - xv) / xv.size
-            vision.backward(tape_v, d_zv, d_xhat_v, grad[model.vision_span])
+    recon_v = losses.mse_recon(xv, xhat_v)
+    x_l = np.concatenate([xlp, xln])
+    recon_l = losses.mse_recon(x_l, np.concatenate([xhat_lp, xhat_ln]))
+    align, d_zv, d_zlp, d_zln, d_ls, parts = losses.alignment_grads(
+        zv, zlp, zln, model.cfg.loss_cfg, model.cfg.sim_cfg, model.log_scale
+    )
+    total = lam * (recon_v + recon_l) + align
+    parts.update(recon_v=recon_v, recon_l=recon_l, align=align, total=total)
+    if not math.isfinite(total):
+        return total, None, parts
 
-        vision_pass = vision_thread.submit(vision_backward)
+    # `train` hands back the vector its first step made here, after the
+    # forward passes: it lands above their activations in glibc's heap and
+    # stays live there, so the free()s that end a step never leave a large
+    # free top to trim, and each forward reuses mapped memory. Made before
+    # the first forward, it sits below them instead; at batch 1024 glibc then
+    # returned ~350 MB after every step and the next forward faulted it back
+    # in (~25 K minor faults a step).
+    if grad is None:
+        grad = np.empty_like(model.params.vector)
+
+    def vision_backward():
+        d_xhat_v = lam * 2.0 * (xhat_v - xv) / xv.size
+        vision.backward(tape_v, d_zv, d_xhat_v, grad[model.vision_span])
+
+    def language_backward():
         scale_l = lam * 2.0 / x_l.size
         d_xhat_lp = scale_l * (xhat_lp - xlp)
         d_xhat_ln = scale_l * (xhat_ln - xln)
@@ -303,7 +290,8 @@ def train_step(model: TrainedJAM, xv, xlp, xln, lam, rng, grad=None):
         grad_ln = np.empty_like(grad_l)
         language.backward(tape_ln, d_zln, d_xhat_ln, grad_ln)
         grad_l += grad_ln
-        vision_pass.result()
+
+    side_by_side([vision_backward, language_backward], len(xv))
     if "logit_scale" in model.params:
         grad[-1] = d_ls
     return total, grad, parts
@@ -342,8 +330,6 @@ def train(train_ds: PairedDataset, val_ds: PairedDataset, cfg: TrainConfig, seed
     stopper = EarlyStopping(cfg.patience)
     horizon = max(cfg.epochs - 1, 0)  # last scheduled epoch hits the endpoints
     n = train_ds.n
-    stop_epoch = 0
-    stop_reason = "completed"
     grad = None  # the gradient vector, made by the first step
 
     for epoch in range(cfg.epochs):
@@ -352,7 +338,6 @@ def train(train_ds: PairedDataset, val_ds: PairedDataset, cfg: TrainConfig, seed
         perm = rng_shuffle.permutation(n)
         sums = {"recon_v": 0.0, "recon_l": 0.0, "align": 0.0, "total": 0.0}
         norms = []  # pre-clip gradient norms
-        aborted = False
 
         for start in range(0, n, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
@@ -363,8 +348,10 @@ def train(train_ds: PairedDataset, val_ds: PairedDataset, cfg: TrainConfig, seed
                 lam, rng_dropout, grad,
             )
             if not math.isfinite(total):
-                aborted = True
-                break
+                history.stop_epoch = epoch
+                history.stop_reason = "aborted_nonfinite"
+                params.vector[...] = best_snap if best_snap is not None else init_snap
+                raise NonFiniteLoss(f"non-finite loss at epoch {epoch}", history=history, model=model)
 
             norms.append(clip_grad_norm(grad, 1.0, params.offsets))
             opt.step(grad, lr=lr)
@@ -373,14 +360,6 @@ def train(train_ds: PairedDataset, val_ds: PairedDataset, cfg: TrainConfig, seed
 
             for key in sums:
                 sums[key] += parts[key]
-
-        if aborted:
-            history.stop_epoch = epoch
-            history.stop_reason = "aborted_nonfinite"
-            params.vector[...] = best_snap if best_snap is not None else init_snap
-            raise NonFiniteLoss(
-                f"non-finite loss at epoch {epoch}", history=history, model=model
-            )
 
         denom = max(len(norms), 1)
         history.epochs.append(
@@ -399,7 +378,7 @@ def train(train_ds: PairedDataset, val_ds: PairedDataset, cfg: TrainConfig, seed
                 "clip_fraction": sum(norm > 1.0 for norm in norms) / denom,
             }
         )
-        stop_epoch = epoch + 1
+        history.stop_epoch = epoch + 1
 
         if (epoch + 1) % cfg.validate_every == 0:
             score = validate(model, val_ds)
@@ -410,11 +389,9 @@ def train(train_ds: PairedDataset, val_ds: PairedDataset, cfg: TrainConfig, seed
                 history.best_epoch = epoch + 1
                 best_snap = params.vector.copy()
             if should_stop:
-                stop_reason = "early_stopped"
+                history.stop_reason = "early_stopped"
                 break
 
-    history.stop_epoch = stop_epoch
-    history.stop_reason = stop_reason
     if best_snap is not None:
         params.vector[...] = best_snap
     return model, history

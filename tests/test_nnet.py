@@ -2,6 +2,7 @@ import math
 import multiprocessing
 import sys
 import threading
+import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 
@@ -517,6 +518,59 @@ class TestThreadedEncode:
             child_bytes, child_threads = pool.submit(encode_in_child, ae, x).result()
         assert child_bytes == z.tobytes()
         assert child_threads == 2
+
+
+class TestSideBySide:
+    """`side_by_side` on its own: the order of its results, the thread each
+    call runs on, and when it starts no thread."""
+
+    @pytest.fixture
+    def no_thread_start(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError("side_by_side started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+
+    @pytest.mark.parametrize("workers", [3, 1], ids=["threaded", "serial"])
+    def test_results_in_call_order(self, workers, monkeypatch):
+        monkeypatch.setattr(nnet, "parallel_workers", lambda: workers)
+
+        def call(i):
+            time.sleep(0.05 * (2 - i))  # threaded, the first call finishes last
+            return i
+
+        calls = [lambda i=i: call(i) for i in range(3)]
+        assert nnet.side_by_side(calls, nnet._ENCODE_BLOCK_ROWS) == [0, 1, 2]
+
+    def test_serial_runs_the_calls_in_order_on_the_caller(self, monkeypatch):
+        monkeypatch.setattr(nnet, "parallel_workers", lambda: 1)
+        ran = []
+        calls = [lambda i=i: ran.append((i, threading.get_ident())) for i in range(3)]
+        nnet.side_by_side(calls, nnet._ENCODE_BLOCK_ROWS)
+        assert ran == [(i, threading.get_ident()) for i in range(3)]
+
+    def test_each_call_but_the_last_runs_on_a_helper_of_its_own(self, monkeypatch):
+        monkeypatch.setattr(nnet, "parallel_workers", lambda: 3)
+        together = threading.Barrier(3, timeout=30)  # breaks unless three threads run the calls
+
+        def ident():
+            together.wait()
+            return threading.get_ident()
+
+        idents = nnet.side_by_side([ident] * 3, nnet._ENCODE_BLOCK_ROWS)
+        caller = threading.get_ident()
+        assert idents[-1] == caller
+        assert len(set(idents)) == 3
+
+    @pytest.mark.parametrize(
+        "rows, workers, n_calls",
+        [(255, 2, 2), (256, 1, 2), (256, 2, 1)],
+        ids=["below-the-gate", "one-worker", "one-call"],
+    )
+    def test_no_thread_unless_all_hold(self, rows, workers, n_calls, monkeypatch, no_thread_start):
+        monkeypatch.setattr(nnet, "parallel_workers", lambda: workers)
+        calls = [lambda i=i: (i, threading.get_ident()) for i in range(n_calls)]
+        assert nnet.side_by_side(calls, rows) == [(i, threading.get_ident()) for i in range(n_calls)]
 
 
 def _sigmoid_two_branch(a):
