@@ -167,14 +167,7 @@ def _resolve_config(command: str, args) -> dict:
     keys = _COMMAND_KEYS[command]
     resolved = {k: spec.default for k, spec in keys.items()}
     if args.config is not None:
-        try:
-            doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ConfigError(f"{args.config}: cannot read config file: {exc.strerror}") from exc
-        except ValueError as exc:  # bad JSON or bytes that are not UTF-8
-            raise ConfigError(f"{args.config}: config file is not valid UTF-8 JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ConfigError("config file must hold a JSON object")
+        doc = embed_io.read_json_object(args.config, "config file", ConfigError)
         unknown = set(doc) - set(keys)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -240,17 +233,10 @@ def cmd_synth(config: dict) -> int:
         "easy": easy,
         "latents": latents,
     }
+    names = {name: f"{name}.jemb" for name in files}
     for name, mat in files.items():
-        embed_io.write_embeddings(out_dir / f"{name}.jemb", mat, dtype)
-    manifest = {
-        "images": "images.jemb",
-        "positives": "positives.jemb",
-        "negatives": "negatives.jemb",
-        "easy": "easy.jemb",
-        "latents": "latents.jemb",
-        "n": synth_cfg.n,
-    }
-    _write_json(out_dir / "manifest.json", manifest)
+        embed_io.write_embeddings(out_dir / names[name], mat, dtype)
+    _write_json(out_dir / "manifest.json", {**names, "n": synth_cfg.n})
     _write_record(out_dir / "run.json", "synth", config, seed=config["seed"])
     print(f"wrote {len(files)} embedding files + manifest to {out_dir}")
     return EXIT_OK
@@ -349,19 +335,19 @@ def cmd_train(config: dict) -> int:
 
 
 def cmd_eval(config: dict) -> int:
+    split = config["split"]
+    splits = ("train", "val", "test")  # in split_dataset's order
+    if split not in splits + ("all",):
+        raise ConfigError(f"split must be train|val|test|all, got {split!r}")
     out_dir = Path(config["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     model, meta = trainer.load_jam(config["checkpoint"])
     full_ds = embed_io.load_paired_dataset(config["manifest"])
     seed = config["seed"] if config["seed"] is not None else int(meta["seed"])
-    split = config["split"]
     if split == "all":
         ds = full_ds
     else:
-        names = {"train": 0, "val": 1, "test": 2}
-        if split not in names:
-            raise ConfigError(f"split must be train|val|test|all, got {split!r}")
-        ds = embed_io.split_dataset(full_ds, seed=int(meta["seed"]))[names[split]]
+        ds = embed_io.split_dataset(full_ds, seed=int(meta["seed"]))[splits.index(split)]
     result = trainer.evaluate(model, ds, seed=seed)
     task = Path(config["manifest"]).stem
     objective = model.cfg.loss_cfg.objective

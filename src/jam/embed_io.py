@@ -19,13 +19,14 @@ JSON document with keys {images, positives, negatives} plus optional
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, InvalidInput, ManifestError
+from .errors import FormatError, InvalidInput, JamError, ManifestError, check_fields
 from .numkit import Matrix, RngStream, as_matrix
 
 MAGIC = b"JEMB"
@@ -118,17 +119,25 @@ def make_paired_dataset(images, positives, negatives) -> PairedDataset:
     )
 
 
+def read_json_object(path, what: str, error: type[JamError]) -> dict:
+    """The JSON object in the UTF-8 file at ``path``. A file that cannot be
+    read, is not UTF-8 JSON or holds another value raises ``error``, whose
+    message names the path and ``what`` the file is."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise error(f"{path}: cannot read {what}: {exc.strerror}") from exc
+    except ValueError as exc:  # bad JSON or bytes that are not UTF-8
+        raise error(f"{path}: {what} is not valid UTF-8 JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{path}: {what} must hold a JSON object")
+    return doc
+
+
 def read_manifest(manifest_path) -> dict:
     """Parse and validate a manifest document, resolving relative paths."""
     mpath = Path(manifest_path)
-    try:
-        doc = json.loads(mpath.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ManifestError(f"{mpath}: cannot read manifest: {exc.strerror}") from exc
-    except ValueError as exc:  # bad JSON or bytes that are not UTF-8
-        raise ManifestError(f"{mpath}: manifest is not valid UTF-8 JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ManifestError("manifest must be a JSON object")
+    doc = read_json_object(mpath, "manifest", ManifestError)
     unknown = set(doc) - _MANIFEST_KEYS
     if unknown:
         raise ManifestError(f"manifest has unknown keys: {sorted(unknown)}")
@@ -213,18 +222,16 @@ class SynthConfig:
     seed: int = 5
 
     def __post_init__(self):
-        for name in ("n", "latent_dim", "context_dims", "fine_dims", "d_v", "d_l"):
-            if getattr(self, name) < 1:
-                raise InvalidInput(f"{name} must be >= 1")
-        for name in ("d_v", "d_l"):  # an isometric map needs at least as many outputs as inputs
-            if getattr(self, name) < self.latent_dim:
-                raise InvalidInput(f"{name} must be >= latent_dim ({self.latent_dim})")
-        if self.context_dims + self.fine_dims != self.latent_dim:
-            raise InvalidInput("context_dims + fine_dims must equal latent_dim")
-        if self.noise_std < 0:
-            raise InvalidInput("noise_std must be >= 0")
-        if self.hard_delta < 0:
-            raise InvalidInput("hard_delta must be >= 0")
+        rules = [(name, getattr(self, name) >= 1, ">= 1")
+                 for name in ("n", "latent_dim", "context_dims", "fine_dims", "d_v", "d_l")]
+        # an isometric map needs at least as many outputs as inputs
+        rules += [(name, getattr(self, name) >= self.latent_dim, f">= latent_dim ({self.latent_dim})")
+                  for name in ("d_v", "d_l")]
+        check_fields(self, rules + [
+            ("context_dims", self.context_dims + self.fine_dims == self.latent_dim, "latent_dim - fine_dims"),
+            ("noise_std", 0 <= self.noise_std < math.inf, "finite and >= 0"),
+            ("hard_delta", 0 <= self.hard_delta < math.inf, "finite and >= 0"),
+        ])
 
 
 def _orthonormal_map(rng: RngStream, d_out: int, d_in: int) -> Matrix:

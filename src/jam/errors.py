@@ -9,6 +9,15 @@ class InvalidInput(JamError):
     """Arguments violate a precondition (shape, range, finiteness)."""
 
 
+def check_fields(cfg, rules) -> None:
+    """Raise InvalidInput("<field> must be <bound>, got <value>") for the
+    first ``(field, ok, bound)`` of ``rules`` whose ``ok`` is false. Write
+    each ``ok`` so that NaN fails it: ``x >= 0``, not ``not x < 0``."""
+    for name, ok, bound in rules:
+        if not ok:
+            raise InvalidInput(f"{name} must be {bound}, got {getattr(cfg, name)!r}")
+
+
 class DegenerateInput(JamError):
     """Input is structurally valid but numerically degenerate (zero variance,
     empty neighbor mask, zero-norm rows)."""

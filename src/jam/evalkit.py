@@ -24,11 +24,16 @@ class RetrievalResult:
     seed: int
 
 
+def _query_scores(zv, zlp, zln):
+    """Unit image and positive-text rows, then each query's cosine with its
+    positive and with its hard negative."""
+    uv, up = unit_rows(zv), unit_rows(zlp)
+    return uv, up, np.sum(uv * up, axis=1), np.sum(uv * unit_rows(zln), axis=1)
+
+
 def binary_hits(zv, zlp, zln) -> np.ndarray:
     """Per-query outcomes: True where the positive strictly beats its hard negative."""
-    uv = unit_rows(zv)
-    sp = np.sum(uv * unit_rows(zlp), axis=1)
-    sn = np.sum(uv * unit_rows(zln), axis=1)
+    _, _, sp, sn = _query_scores(zv, zlp, zln)
     return sp > sn
 
 
@@ -60,11 +65,7 @@ def recall_5way(zv, zlp, zln, rng: RngStream) -> float:
     n = np.asarray(zv).shape[0]
     if n < 5:
         raise InvalidInput(f"5-way recall needs n >= 5, got {n}")
-    uv = unit_rows(zv)
-    up = unit_rows(zlp)
-    un = unit_rows(zln)
-    sp = np.sum(uv * up, axis=1)
-    sn = np.sum(uv * un, axis=1)
+    uv, up, sp, sn = _query_scores(zv, zlp, zln)
     distractors = sample_distractors(n, rng)
     sd = np.einsum("ij,ikj->ik", uv, up[distractors])
     rivals = np.max(np.concatenate([sn[:, None], sd], axis=1), axis=1)

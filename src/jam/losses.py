@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, InvalidInput
+from .errors import DegenerateInput, InvalidInput, check_fields
 from .numkit import Matrix, as_matrix
 
 OBJECTIVES = ("con", "negcon", "spread")
@@ -61,10 +61,10 @@ class SimilarityConfig:
     logit_scale_mode: str = "learnable"  # "fixed" | "learnable"
 
     def __post_init__(self):
-        if not 0 < self.tau < math.inf:  # a learnable scale starts at log(1/tau)
-            raise InvalidInput(f"tau must be finite and > 0, got {self.tau!r}")
-        if self.logit_scale_mode not in ("fixed", "learnable"):
-            raise InvalidInput(f"bad logit_scale_mode {self.logit_scale_mode!r}")
+        check_fields(self, [
+            ("tau", 0 < self.tau < math.inf, "finite and > 0"),  # a learnable scale starts at log(1/tau)
+            ("logit_scale_mode", self.logit_scale_mode in ("fixed", "learnable"), "'fixed' or 'learnable'"),
+        ])
 
     def scale(self, log_scale: float | None = None) -> float:
         """Effective similarity multiplier for the current parameters."""
@@ -85,12 +85,12 @@ class LossConfig:
     include_positive_in_denominator: bool = False
 
     def __post_init__(self):
-        if self.objective not in OBJECTIVES:
-            raise InvalidInput(f"objective must be one of {OBJECTIVES}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise InvalidInput("alpha must be in [0, 1]")
-        if not self.lambda_start >= self.lambda_end >= 0.0:
-            raise InvalidInput("need lambda_start >= lambda_end >= 0")
+        check_fields(self, [
+            ("objective", self.objective in OBJECTIVES, f"one of {OBJECTIVES}"),
+            ("alpha", 0.0 <= self.alpha <= 1.0, "in [0, 1]"),
+            ("lambda_end", self.lambda_end >= 0.0, ">= 0"),
+            ("lambda_start", self.lambda_start >= self.lambda_end, ">= lambda_end"),
+        ])
 
 
 def _normalize_rows(z: Matrix, name: str):

@@ -63,7 +63,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateInput, InvalidInput
+from .errors import DegenerateInput, InvalidInput, check_fields
 from .numkit import Matrix, RngStream, as_matrix, center_columns, check_symmetric, svd, sym_eig, unit_rows
 
 KERNEL_KINDS = ("linear", "rbf")
@@ -494,19 +494,16 @@ class MetricConfig:
     knn_similarity: str = "inner"
 
     def __post_init__(self):
-        for name, kinds in (("kernel", KERNEL_KINDS), ("knn_similarity", SIMILARITY_KINDS)):
-            if getattr(self, name) not in kinds:
-                raise InvalidInput(f"{name} must be one of {kinds}, got {getattr(self, name)!r}")
         # bounds that hold at every n; those that depend on n (k <= n-1) stay per cell
-        for name, ok, bound in (
+        check_fields(self, [
+            ("kernel", self.kernel in KERNEL_KINDS, f"one of {KERNEL_KINDS}"),
+            ("knn_similarity", self.knn_similarity in SIMILARITY_KINDS, f"one of {SIMILARITY_KINDS}"),
             ("pca_r", self.pca_r >= 1, ">= 1"),
             ("knn_k", self.knn_k >= 1, ">= 1"),
             ("svcca_k", self.svcca_k >= 1, ">= 1"),
             ("svcca_eta", 0 < self.svcca_eta <= 1, "in (0, 1]"),
             ("rbf_gamma", self.rbf_gamma is None or self.rbf_gamma > 0, "> 0 or unset"),
-        ):
-            if not ok:
-                raise InvalidInput(f"{name} must be {bound}, got {getattr(self, name)!r}")
+        ])
 
 
 METRIC_NAMES = ("cca_linear", "cca_kernel", "cka", "svcca", "cknna")

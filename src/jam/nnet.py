@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInput, NonFiniteGradient, UsageError
+from .errors import InvalidInput, NonFiniteGradient, UsageError, check_fields
 from .numkit import Matrix, RngStream, blas_threads
 
 
@@ -278,22 +278,30 @@ class AutoencoderConfig:
     dropout: float = 0.1
 
     def __post_init__(self):
-        if self.input_dim < 1 or self.latent_dim < 1:
-            raise InvalidInput("dims must be >= 1")
-        if any(h < 1 for h in self.hidden_dims):
-            raise InvalidInput("hidden dims must be >= 1")
-        if not 0.0 <= self.dropout < 1.0:
-            raise InvalidInput("dropout must be in [0, 1)")
+        check_fields(self, [
+            ("input_dim", self.input_dim >= 1, ">= 1"),
+            ("latent_dim", self.latent_dim >= 1, ">= 1"),
+            ("hidden_dims", all(h >= 1 for h in self.hidden_dims), "all >= 1"),
+            ("dropout", 0.0 <= self.dropout < 1.0, "in [0, 1)"),
+        ])
 
 
-def _make_stage(name, d_in, width, cfg, rng):
-    return [
-        Dense(f"{name}.dense", d_in, width, rng),
-        LayerNorm(f"{name}.ln", width),
-        SwiGLU(f"{name}.glu", width, width, rng),
-        Dropout(f"{name}.drop", cfg.dropout),
-        ResidualMLP(f"{name}.res", width, cfg.dropout, rng),
-    ]
+def _funnel(prefix, dims, head, dropout, rng):
+    """Layers from dims[0] to dims[-1]: a stage ``<prefix><i>`` (Dense,
+    LayerNorm, SwiGLU, Dropout, ResidualMLP) into each width between, then
+    the Dense ``head``, drawn from ``rng`` in that order."""
+    layers = []
+    for i, (d_in, width) in enumerate(zip(dims[:-2], dims[1:-1])):
+        name = f"{prefix}{i}"
+        layers += [
+            Dense(f"{name}.dense", d_in, width, rng),
+            LayerNorm(f"{name}.ln", width),
+            SwiGLU(f"{name}.glu", width, width, rng),
+            Dropout(f"{name}.drop", dropout),
+            ResidualMLP(f"{name}.res", width, dropout, rng),
+        ]
+    layers.append(Dense(head, dims[-2], dims[-1], rng))
+    return layers
 
 
 class Tape:
@@ -310,18 +318,9 @@ class Autoencoder:
 
     def __init__(self, cfg: AutoencoderConfig, rng: RngStream):
         self.cfg = cfg
-        self.enc_layers = []
-        d = cfg.input_dim
-        for i, width in enumerate(cfg.hidden_dims):
-            self.enc_layers.extend(_make_stage(f"enc{i}", d, width, cfg, rng))
-            d = width
-        self.enc_layers.append(Dense("enc.latent", d, cfg.latent_dim, rng))
-        self.dec_layers = []
-        d = cfg.latent_dim
-        for i, width in enumerate(reversed(cfg.hidden_dims)):
-            self.dec_layers.extend(_make_stage(f"dec{i}", d, width, cfg, rng))
-            d = width
-        self.dec_layers.append(Dense("dec.out", d, cfg.input_dim, rng))
+        dims = [cfg.input_dim, *cfg.hidden_dims, cfg.latent_dim]
+        self.enc_layers = _funnel("enc", dims, "enc.latent", cfg.dropout, rng)
+        self.dec_layers = _funnel("dec", dims[::-1], "dec.out", cfg.dropout, rng)
         # the one parameter order: layers last to first, each in its PARAMS order
         layers = reversed(self.enc_layers + self.dec_layers)
         self._slots = [(layer, attr) for layer in layers for attr in layer.PARAMS]

@@ -34,6 +34,8 @@ perturbing only the fine ones):
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .embed_io import SynthConfig
 from .losses import LossConfig
 from .nnet import AutoencoderConfig
@@ -59,17 +61,7 @@ def metric_screen_synth(seed: int) -> SynthConfig:
 
 
 def benchmark_synth(seed: int) -> SynthConfig:
-    return SynthConfig(
-        n=1000,
-        latent_dim=16,
-        context_dims=12,
-        fine_dims=4,
-        d_v=64,
-        d_l=96,
-        noise_std=0.05,
-        hard_delta=1.0,
-        seed=seed,
-    )
+    return replace(metric_screen_synth(seed), n=1000)
 
 
 def benchmark_train_config(objective: str) -> TrainConfig:

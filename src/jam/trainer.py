@@ -43,7 +43,7 @@ import numpy as np
 
 from . import losses
 from .embed_io import PairedDataset, split_dataset
-from .errors import InvalidInput, NonFiniteLoss, UsageError
+from .errors import InvalidInput, NonFiniteLoss, UsageError, check_fields
 from .evalkit import RetrievalResult, recall_binary, recall_5way
 from .losses import LossConfig, SimilarityConfig
 from .nnet import (
@@ -87,25 +87,18 @@ class TrainConfig:
     sim_cfg: SimilarityConfig = field(default_factory=SimilarityConfig)
 
     def __post_init__(self):
-        if not self.seeds:
-            raise InvalidInput("seeds must name at least one seed")
-        if self.batch_size < 2:
-            raise InvalidInput("batch_size must be >= 2 (contrastive denominators)")
-        if self.epochs < 0:
-            raise InvalidInput("epochs must be >= 0")
-        # each bound is written so that NaN fails it
-        if not self.lr0 > 0:
-            raise InvalidInput(f"lr0 must be > 0, got {self.lr0!r}")
-        if not 0 <= self.lr_min <= self.lr0:
-            raise InvalidInput(f"lr_min must be in [0, lr0], got {self.lr_min!r}")
-        if not self.weight_decay >= 0:
-            raise InvalidInput(f"weight_decay must be >= 0, got {self.weight_decay!r}")
-        if not self.patience >= 1:
-            raise InvalidInput(f"patience must be >= 1, got {self.patience!r}")
-        if self.validate_every < 1:
-            raise InvalidInput("validate_every must be >= 1")
-        if self.epochs and self.epochs < self.validate_every:
-            raise InvalidInput("epochs must be >= validate_every (or 0)")
+        check_fields(self, [
+            ("seeds", len(self.seeds) >= 1, "non-empty"),
+            ("seeds", len(set(self.seeds)) == len(self.seeds), "distinct"),  # one run and its files per seed
+            ("batch_size", self.batch_size >= 2, ">= 2 (contrastive denominators)"),
+            ("epochs", self.epochs >= 0, ">= 0"),
+            ("lr0", self.lr0 > 0, "> 0"),
+            ("lr_min", 0 <= self.lr_min <= self.lr0, "in [0, lr0]"),
+            ("weight_decay", self.weight_decay >= 0, ">= 0"),
+            ("patience", self.patience >= 1, ">= 1"),
+            ("validate_every", self.validate_every >= 1, ">= 1"),
+            ("epochs", self.epochs == 0 or self.epochs >= self.validate_every, ">= validate_every (or 0)"),
+        ])
         if self.ae_cfg_vision.latent_dim != self.ae_cfg_language.latent_dim:
             raise InvalidInput("both autoencoders must share the latent dim")
 
@@ -336,7 +329,7 @@ def train(train_ds: PairedDataset, val_ds: PairedDataset, cfg: TrainConfig, seed
         lr = cosine_lr(epoch, horizon, cfg.lr0, cfg.lr_min)
         lam = losses.lambda_schedule(epoch, horizon, cfg.loss_cfg)
         perm = rng_shuffle.permutation(n)
-        sums = {"recon_v": 0.0, "recon_l": 0.0, "align": 0.0, "total": 0.0}
+        sums = dict.fromkeys(("recon_v", "recon_l", "align", "total"), 0.0)  # step parts, averaged below
         norms = []  # pre-clip gradient norms
 
         for start in range(0, n, cfg.batch_size):
@@ -365,10 +358,7 @@ def train(train_ds: PairedDataset, val_ds: PairedDataset, cfg: TrainConfig, seed
         history.epochs.append(
             {
                 "epoch": epoch,
-                "recon_v": sums["recon_v"] / denom,
-                "recon_l": sums["recon_l"] / denom,
-                "align": sums["align"] / denom,
-                "total": sums["total"] / denom,
+                **{key: value / denom for key, value in sums.items()},
                 "lambda": lam,
                 "alpha": cfg.loss_cfg.alpha,
                 "lr": lr,
@@ -416,19 +406,18 @@ def sweep_alpha(train_ds, val_ds, cfg: TrainConfig, alphas, seed: int | None = N
     alphas = list(alphas)
     if not alphas:
         raise InvalidInput("alpha sweep needs at least one value")
+    # every run's config is built, and so checked, before any run trains
+    run_cfgs = [replace(cfg, loss_cfg=replace(cfg.loss_cfg, objective="spread", alpha=float(alpha)))
+                for alpha in alphas]
     entries = []
-    for alpha in alphas:
-        run_cfg = replace(
-            cfg,
-            loss_cfg=replace(cfg.loss_cfg, objective="spread", alpha=float(alpha)),
-        )
+    for run_cfg in run_cfgs:
         model, history = train(train_ds, val_ds, run_cfg, seed=seed)
         score = history.best_score
         if score is None:
             score = validate(model, val_ds)
         entries.append(
             SweepEntry(
-                alpha=float(alpha),
+                alpha=run_cfg.loss_cfg.alpha,
                 best_val_recall=float(score),
                 stop_epoch=history.stop_epoch,
                 stop_reason=history.stop_reason,

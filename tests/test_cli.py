@@ -77,6 +77,13 @@ class TestSynthCommand:
         assert "latent_dim" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--noise-std", "--hard-delta"])
+    def test_nan_float_exits_3(self, tmp_path, capsys, flag):
+        out = tmp_path / "synth"
+        assert run_cli(["synth", flag, "nan", "--out-dir", out]) == 3
+        assert f"{flag[2:].replace('-', '_')} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestMetricsCommand:
     def test_full_grid(self, synth_dir, tmp_path):
@@ -320,6 +327,23 @@ class TestTrainEvalCommands:
         assert run_cli(args) == 3
         assert not out.exists() or not any(out.iterdir())
 
+    def test_repeated_seeds_exit_3_before_training(self, synth_dir, tmp_path, capsys, monkeypatch):
+        trained, train = [], cli.trainer.train
+        monkeypatch.setattr(cli.trainer, "train", lambda *a, **kw: trained.append(kw) or train(*a, **kw))
+        out = tmp_path / "out"
+        assert run_cli(fast_train_args(synth_dir, out, seeds="5,5")) == 3
+        assert "seeds must be distinct" in capsys.readouterr().err
+        assert trained == []
+        assert not any(out.iterdir())
+
+    def test_bad_split_exits_2_before_reading_files(self, tmp_path, capsys):
+        out = tmp_path / "eval"
+        args = ["eval", "--checkpoint", tmp_path / "no.jckp", "--manifest", tmp_path / "no.json",
+                "--out-dir", out, "--split", "bogus"]
+        assert run_cli(args) == 2
+        assert "split must be" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "damage",
         ["missing", "corrupt_json", "document_past_end", "truncated_tensor", "no_train_config",
@@ -450,6 +474,18 @@ class TestSweepCommand:
         alphas = [e["alpha"] for e in report["report"]["entries"]]
         assert alphas == [0.0, 0.5, 1.0]
         assert report["report"]["best_alpha"] in alphas
+
+    def test_alpha_out_of_range_exits_3_before_training(self, synth_dir, tmp_path, capsys, monkeypatch):
+        trained, train = [], cli.trainer.train
+        monkeypatch.setattr(cli.trainer, "train", lambda *a, **kw: trained.append(kw) or train(*a, **kw))
+        out = tmp_path / "sweep"
+        args = ["sweep-alpha", "--manifest", synth_dir / "manifest.json", "--out-dir", out,
+                "--alphas", "0.5,0.25,2", "--seed", 5, "--epochs", 4, "--validate-every", 2,
+                "--batch-size", 8, "--hidden-dims", "12", "--latent-dim", 8, "--dropout", "0.0"]
+        assert run_cli(args) == 3
+        assert "alpha must be in [0, 1], got 2.0" in capsys.readouterr().err
+        assert trained == []
+        assert not (out / "sweep.json").exists()
 
 
 class TestConfigFileTypes:

@@ -188,7 +188,7 @@ class TestTrain:
     @pytest.mark.parametrize("field, value", [
         ("lr0", 0.0), ("lr0", -1.0), ("lr0", float("nan")), ("lr_min", -1e-9), ("lr_min", 2e-3),
         ("lr_min", float("nan")), ("weight_decay", -0.01), ("weight_decay", float("nan")),
-        ("patience", 0), ("patience", -3),
+        ("patience", 0), ("patience", -3), ("seeds", (5, 5)),
     ])
     def test_config_rejects_out_of_range_values(self, field, value):
         with pytest.raises(InvalidInput, match=f"{field} must be"):
